@@ -2,17 +2,9 @@
 // lookup at realistic table sizes, scheduler decisions, YAML parsing, and
 // statistics. These are real-time benchmarks of the simulator itself (not
 // simulated time) -- they bound how fast experiments run.
-//
-// The BM_Legacy* benchmarks are frozen copies of the pre-optimization
-// implementations (shared_ptr tombstone binary heap; linear-scan flow table)
-// compiled into the same binary, so the speedup ratios in EXPERIMENTS.md are
-// same-machine, same-build comparisons rather than numbers remembered from an
-// older checkout.
 #include <benchmark/benchmark.h>
 
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "net/flow_table.hpp"
@@ -29,8 +21,7 @@ namespace {
 using namespace tedge;
 
 // --------------------------------------------------------------------------
-// Event queue: slab 4-ary heap and timer wheel vs. the seed's
-// shared_ptr/priority_queue.
+// Event queue: slab 4-ary heap and timer wheel.
 
 /// Burst fill-and-drain of n random timestamps. The window advances by one
 /// second per iteration so timestamps never precede the last popped event
@@ -113,67 +104,6 @@ BENCHMARK(BM_EventQueueFill<sim::QueueBackend::kWheel>)
     ->Name("BM_EventQueueFill/wheel")
     ->Args({65536, 0})->Args({65536, 1});
 
-/// The event queue as it shipped in the seed: one shared_ptr<bool> tombstone
-/// allocation per event, std::function callbacks, binary priority_queue.
-class LegacyEventQueue {
-public:
-    using Callback = std::function<void()>;
-
-    void push(sim::SimTime at, Callback cb) {
-        auto alive = std::make_shared<bool>(true);
-        heap_.push(Entry{at, seq_++, std::move(cb), std::move(alive)});
-    }
-
-    [[nodiscard]] bool empty() const {
-        drop_dead();
-        return heap_.empty();
-    }
-
-    std::pair<sim::SimTime, Callback> pop() {
-        drop_dead();
-        Entry e = std::move(const_cast<Entry&>(heap_.top()));
-        heap_.pop();
-        *e.alive = false;
-        return {e.at, std::move(e.cb)};
-    }
-
-private:
-    struct Entry {
-        sim::SimTime at;
-        std::uint64_t seq = 0;
-        Callback cb;
-        std::shared_ptr<bool> alive;
-    };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const {
-            if (a.at != b.at) return a.at > b.at;
-            return a.seq > b.seq;
-        }
-    };
-
-    void drop_dead() const {
-        while (!heap_.empty() && !*heap_.top().alive) heap_.pop();
-    }
-
-    mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    std::uint64_t seq_ = 0;
-};
-
-void BM_LegacyEventQueuePushPop(benchmark::State& state) {
-    LegacyEventQueue queue;
-    sim::Rng rng(1);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < n; ++i) {
-            queue.push(sim::from_seconds(rng.uniform(0, 1)), [] {});
-        }
-        while (!queue.empty()) queue.pop();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LegacyEventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
-
 template <sim::QueueBackend Backend>
 void BM_SimulationNestedEvents(benchmark::State& state) {
     for (auto _ : state) {
@@ -195,7 +125,7 @@ BENCHMARK(BM_SimulationNestedEvents<sim::QueueBackend::kWheel>)
     ->Name("BM_SimulationNestedEvents/wheel");
 
 // --------------------------------------------------------------------------
-// Flow table: exact-match index vs. the seed's linear scan.
+// Flow table: exact-match index and the wildcard fallback scan.
 
 /// `n` fully-specified entries (src, dst, port, proto all concrete), the
 /// shape the dispatcher installs per accepted connection.
@@ -255,36 +185,6 @@ void BM_FlowTableLookupWildcard(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FlowTableLookupWildcard)->Arg(16)->Arg(256)->Arg(2048);
-
-/// The lookup as it shipped in the seed: expire scan + full-table best-match
-/// scan on every packet.
-void BM_LegacyFlowTableLookup(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<net::FlowEntry> entries;
-    {
-        net::FlowTable seeded = make_exact_table(n);
-        for (const auto& e : seeded.entries()) entries.push_back(e);
-    }
-    const net::Packet packet = exact_packet(n);
-    const sim::SimTime now = sim::SimTime::zero();
-    for (auto _ : state) {
-        for (const auto& e : entries) {
-            benchmark::DoNotOptimize(e.expired(now));
-        }
-        const net::FlowEntry* best = nullptr;
-        for (auto& e : entries) {
-            if (e.expired(now) || !e.match.matches(packet)) continue;
-            if (!best || e.priority > best->priority ||
-                (e.priority == best->priority &&
-                 e.match.specificity() > best->match.specificity())) {
-                best = &e;
-            }
-        }
-        benchmark::DoNotOptimize(best);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LegacyFlowTableLookup)->Arg(16)->Arg(256)->Arg(2048);
 
 // --------------------------------------------------------------------------
 // Everything else.

@@ -12,12 +12,6 @@
 //   * peak RSS           -- VmHWM, measured in a forked child per point so
 //                           points don't inherit each other's high-water mark
 //
-// Two honesty checks against the pre-change implementation are included:
-// a 100k-flow microbench of flows_for_service()/idle-check against the old
-// std::map + linear-scan structure, and a 1M-flow RSS comparison against the
-// old memory shape (string-bearing map entries plus the per-event closures
-// the old replay path pre-scheduled).
-//
 // Results are written to BENCH_scale.json (one JSON object per point, flat
 // and line-oriented, so the --baseline regression gate can parse it without
 // a JSON library). `--baseline <file>` exits non-zero when any point's
@@ -45,8 +39,8 @@
 // sweep the 1M x 8 wheel point, the run fails unless hybrid is >= 10x exact.
 //
 // The sharded rows have a sync dimension (--sync, default "channel"): the
-// coordinator that drives the domains -- the global barrier, the locked
-// channel-clock protocol, or the lock-free channel plane (DESIGN §8). Points
+// coordinator that drives the domains -- the lock-free channel plane or the
+// global-barrier reference oracle (DESIGN §8). Points
 // record the mode as "sync_mode" plus the per-run lane accounting -- total
 // lane busy/blocked wall time, the null-message count, and the lock-free
 // plane's wakeup/park/suppression/demand counters -- so the shard-scaling
@@ -55,23 +49,22 @@
 // measured on the barrier design and parse as sync_mode=barrier; serial rows
 // carry the same label so they keep gating across the change.
 //
-// Lock-free channel rows additionally sweep a grain dimension (--grain, a
-// CSV of fractions of each channel's lookahead; default "0.25"): the
-// null-message suppression threshold of DESIGN §8.7. Grain changes
-// scheduling pressure only, never results, so every grain row produces the
-// same simulation outcome; the sweep exists to price suppression (nulls and
-// wakeups per point). Rows of other coordinators record grain=0, and
-// baselines written before the grain dimension existed parse as grain=0.
+// Channel rows additionally sweep a grain dimension (--grain, a CSV of
+// fractions of each channel's lookahead; default "0.25"): the null-message
+// suppression threshold of DESIGN §8.7. Grain changes scheduling pressure
+// only, never results, so every grain row produces the same simulation
+// outcome; the sweep exists to price suppression (nulls and wakeups per
+// point). Barrier rows record grain=0, and baselines written before the
+// grain dimension existed parse as grain=0.
 //
-// Flags: --quick (skip the 1M row and the RSS comparison: CI),
+// Flags: --quick (skip the 1M row: CI),
 //        --backend heap|wheel|both (event-queue backend to sweep; default
 //        wheel, `both` additionally prints a heap-vs-wheel table),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
-//        --sync channel|channel-locked|barrier|both|all (coordinator for
-//        sharded rows; default channel; both = barrier + channel),
-//        --grain <csv> (lookahead fractions for lock-free channel rows,
-//        default 0.25),
+//        --sync channel|barrier|both (coordinator for sharded rows;
+//        default channel; both = barrier + channel),
+//        --grain <csv> (lookahead fractions for channel rows, default 0.25),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -205,18 +198,13 @@ const char* backend_str(sim::QueueBackend backend) {
 /// sync dimension existed (all of them measured on the barrier design) parse
 /// with the same default, so the serial rows keep gating across the change.
 const char* sync_str(const SweepPoint& point) {
-    if (point.shards <= 1) return "barrier";
-    switch (point.sync) {
-        case sim::SyncMode::kBarrier: return "barrier";
-        case sim::SyncMode::kChannelLocked: return "channel-locked";
-        case sim::SyncMode::kChannel: return "channel";
-    }
-    return "barrier";
+    return point.shards > 1 && point.sync == sim::SyncMode::kChannel ? "channel"
+                                                                      : "barrier";
 }
 
-/// Grain recorded in JSON and used in the baseline key. Only the lock-free
-/// channel coordinator reads Options::horizon_grain, so every other row
-/// carries 0 -- which also matches how pre-grain baselines parse.
+/// Grain recorded in JSON and used in the baseline key. Only the channel
+/// coordinator reads Options::horizon_grain, so serial and barrier rows
+/// carry 0 -- which also matches how pre-grain baselines parse.
 double grain_label(const SweepPoint& point) {
     if (point.shards <= 1 || point.sync != sim::SyncMode::kChannel) return 0.0;
     return point.grain;
@@ -601,10 +589,12 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
         std::unique_ptr<workload::PoissonStream> stream;
         std::unique_ptr<workload::StreamPump> pump;
         std::size_t installed = 0;
+        /// Sampled install latencies. Lane-owned: each shard's pump runs on
+        /// the lane executing its domain, so the buffers are merged only
+        /// after run() returns.
+        std::vector<double> install_ns;
     };
     std::vector<Shard> shards(num_shards);
-    std::vector<double> install_ns;
-    install_ns.reserve(point.flows / 64 + 1);
 
     for (std::size_t s = 0; s < num_shards; ++s) {
         auto& shard = shards[s];
@@ -617,6 +607,7 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
             base_stream, static_cast<std::uint32_t>(s),
             static_cast<std::uint32_t>(num_shards));
         shard.plane->memory().reserve(stream_options.limit);
+        shard.install_ns.reserve(stream_options.limit / 64 + 1);
         shard.stream = std::make_unique<workload::PoissonStream>(stream_options);
 
         // Disjoint per-shard client-ip blocks keep flows unique within their
@@ -626,9 +617,9 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
             0xc0000000u + static_cast<std::uint32_t>(s) * 0x01000000u;
         shard.pump = std::make_unique<workload::StreamPump>(
             edges[s]->sim(), *shard.stream,
-            [&shard, ip_base, &addresses, &service_names, &cluster_names,
-             &install_ns](const workload::TraceEvent& event,
-                          const std::optional<workload::TraceEvent>& next) {
+            [&shard, ip_base, &addresses, &service_names, &cluster_names](
+                const workload::TraceEvent& event,
+                const std::optional<workload::TraceEvent>& next) {
                 if (next) {
                     shard.plane->memory().prefetch(
                         net::Ipv4{ip_base +
@@ -644,9 +635,9 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
                                        net::NodeId{event.service}, 8000,
                                        cluster_names[event.client % kClusters]);
                 if (sampled) {
-                    install_ns.push_back(std::chrono::duration<double, std::nano>(
-                                             Clock::now() - start)
-                                             .count());
+                    shard.install_ns.push_back(
+                        std::chrono::duration<double, std::nano>(Clock::now() - start)
+                            .count());
                 }
                 ++shard.installed;
             });
@@ -658,8 +649,11 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     sharded.run();  // drains every pump; digest daemons ride along
     const double fill_s = elapsed_s(fill_start);
     result.events_per_s = static_cast<double>(point.flows) / fill_s;
+    std::vector<double> install_ns;
     for (const auto& shard : shards) {
         result.peak_live_flows += shard.plane->memory().size();
+        install_ns.insert(install_ns.end(), shard.install_ns.begin(),
+                          shard.install_ns.end());
     }
 
     std::sort(install_ns.begin(), install_ns.end());
@@ -754,152 +748,6 @@ PointResult run_point(const SweepPoint& point) {
         if (run.events_per_s > best.events_per_s) best = run;
     }
     return best;
-}
-
-// -------------------------------------------------- pre-change comparisons
-
-/// The seed FlowMemory entry: ordered map keyed by (client-ip, address) with
-/// two owning strings per flow; flows_for_service and the idle check were
-/// linear scans over every memorized flow.
-struct LegacyFlow {
-    net::Ipv4 client_ip;
-    net::ServiceAddress service_address;
-    std::string service_name;
-    net::NodeId instance_node;
-    std::uint16_t instance_port = 0;
-    std::string cluster;
-    sim::SimTime created;
-    sim::SimTime last_used;
-};
-using LegacyMap =
-    std::map<std::pair<std::uint32_t, net::ServiceAddress>, LegacyFlow>;
-
-LegacyMap build_legacy(std::size_t flows, std::uint32_t services) {
-    LegacyMap legacy;
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        LegacyFlow flow;
-        flow.client_ip = net::Ipv4{0xc0000000u + static_cast<std::uint32_t>(i)};
-        flow.service_address = address_for(service);
-        flow.service_name = "svc" + std::to_string(service);
-        flow.instance_node = net::NodeId{service};
-        flow.instance_port = 8000;
-        flow.cluster = "edge" + std::to_string(i % kClusters);
-        legacy.emplace(std::pair{flow.client_ip.value(), flow.service_address},
-                       flow);
-    }
-    return legacy;
-}
-
-struct LookupComparison {
-    double legacy_lookup_ns = 0;
-    double new_lookup_ns = 0;
-    double legacy_idle_ns = 0;
-    double new_idle_ns = 0;
-};
-
-/// 100k-flow flows_for_service()/idle-check: counters vs the legacy scan.
-LookupComparison compare_lookups(std::size_t flows, std::uint32_t services) {
-    LookupComparison cmp;
-
-    sim::Simulation sim;
-    sdn::FlowMemory memory(sim, {kIdleTimeout, kScanPeriod});
-    memory.reserve(flows);
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        sdn::MemorizedFlow flow;
-        flow.client_ip = net::Ipv4{0xc0000000u + static_cast<std::uint32_t>(i)};
-        flow.service_address = address_for(service);
-        flow.service_name = "svc" + std::to_string(service);
-        flow.instance_node = net::NodeId{service};
-        flow.instance_port = 8000;
-        flow.cluster = "edge" + std::to_string(i % kClusters);
-        memory.memorize(flow);
-    }
-    const LegacyMap legacy = build_legacy(flows, services);
-
-    // The lookup probe targets a populated service; the idle probe targets a
-    // (service, cluster) pair with zero live flows -- the case that matters
-    // for scale-down, and the legacy scan's worst case (it must walk every
-    // flow to conclude "idle" instead of stopping at the first match).
-    // With services=8 and 2 clusters, svc0 flows sit at indices i % 8 == 0,
-    // all even, so cluster edge1 never serves svc0.
-    const std::string probe_service = "svc0";
-    const std::string probe_cluster = "edge1";
-    volatile std::size_t sink = 0;
-
-    constexpr std::size_t kNewPasses = 1 << 16;
-    auto start = Clock::now();
-    for (std::size_t i = 0; i < kNewPasses; ++i) {
-        sink = sink + memory.flows_for_service(probe_service);
-    }
-    cmp.new_lookup_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kNewPasses;
-    start = Clock::now();
-    for (std::size_t i = 0; i < kNewPasses; ++i) {
-        sink = sink + memory.flows_for_service(probe_service, probe_cluster);
-    }
-    cmp.new_idle_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kNewPasses;
-
-    constexpr std::size_t kLegacyPasses = 16; // full scans: keep it bearable
-    start = Clock::now();
-    for (std::size_t i = 0; i < kLegacyPasses; ++i) {
-        std::size_t count = 0;
-        for (const auto& [key, flow] : legacy) {
-            if (flow.service_name == probe_service) ++count;
-        }
-        sink = sink + count;
-    }
-    cmp.legacy_lookup_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kLegacyPasses;
-    start = Clock::now();
-    for (std::size_t i = 0; i < kLegacyPasses; ++i) {
-        bool any = false;
-        for (const auto& [key, flow] : legacy) {
-            if (flow.service_name == probe_service &&
-                flow.cluster == probe_cluster) {
-                any = true;
-                break; // the idle check only needs existence
-            }
-        }
-        sink = sink + (any ? 1 : 0); // probe pair is idle: full scan every pass
-    }
-    cmp.legacy_idle_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kLegacyPasses;
-    return cmp;
-}
-
-/// Peak RSS of the pre-change shape at `flows`: the string-bearing ordered
-/// map plus what the old replay materialized up front -- the full trace and
-/// one closure per event pre-scheduled into a real event queue (capture list
-/// copied from the old TraceRunner::replay loop).
-long legacy_rss_kb(std::size_t flows, std::uint32_t services) {
-    const LegacyMap legacy = build_legacy(flows, services);
-
-    sim::Simulation sim;
-    std::vector<workload::TraceEvent> trace(flows);
-    volatile std::size_t sink = 0;
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        trace[i] = workload::TraceEvent{sim::from_seconds(static_cast<double>(i)),
-                                        0, service};
-        const workload::TraceEvent event = trace[i];
-        const net::NodeId node{service};
-        const net::ServiceAddress address = address_for(service);
-        const sim::Bytes size = 120;
-        const std::string tag = "svc" + std::to_string(service);
-        sim.schedule_at(event.at, [&sink, node, event, address, size, tag] {
-            sink = sink + tag.size() + event.client + node.value +
-                   address.port + static_cast<std::size_t>(size);
-        });
-    }
-    sink = sink + legacy.size();
-    return peak_rss_kb();
 }
 
 // ----------------------------------------------------------------- output
@@ -1079,7 +927,7 @@ int main(int argc, char** argv) {
             std::cerr << "usage: bench_scale [--quick] "
                          "[--backend heap|wheel|both] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
-                         "[--sync channel|channel-locked|barrier|both|all] "
+                         "[--sync channel|barrier|both] "
                          "[--grain <csv>] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
@@ -1118,19 +966,13 @@ int main(int argc, char** argv) {
     std::vector<sim::SyncMode> syncs;
     if (sync_arg == "channel") {
         syncs = {sim::SyncMode::kChannel};
-    } else if (sync_arg == "channel-locked" || sync_arg == "locked") {
-        syncs = {sim::SyncMode::kChannelLocked};
     } else if (sync_arg == "barrier") {
         syncs = {sim::SyncMode::kBarrier};
     } else if (sync_arg == "both") {
         syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannel};
-    } else if (sync_arg == "all") {
-        syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannelLocked,
-                 sim::SyncMode::kChannel};
     } else {
         std::cerr << "unknown --sync '" << sync_arg
-                  << "' (expected channel, channel-locked, barrier, both, or "
-                     "all)\n";
+                  << "' (expected channel, barrier, or both)\n";
         return 2;
     }
     const auto grain_values = parse_grain_csv(grain_arg);
@@ -1175,8 +1017,8 @@ int main(int argc, char** argv) {
                     // serial point runs once no matter how many modes sweep.
                     if (shards == 1 && sync != syncs.front()) continue;
                 for (const auto grain : *grain_values) {
-                    // Only the lock-free channel coordinator reads the grain;
-                    // every other row runs once no matter how many sweep.
+                    // Only the channel coordinator reads the grain; serial
+                    // and barrier rows run once no matter how many sweep.
                     if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
                         grain != grain_values->front()) {
                         continue;
@@ -1417,49 +1259,6 @@ int main(int argc, char** argv) {
                   << versus.str() << "\n";
     }
 
-    // 100k honesty check: maintained counters vs the legacy linear scan.
-    const auto comparison = compare_lookups(100'000, 8);
-    const double lookup_speedup =
-        comparison.legacy_lookup_ns / comparison.new_lookup_ns;
-    const double idle_speedup =
-        comparison.legacy_idle_ns / comparison.new_idle_ns;
-    std::cout << "100k flows, flows_for_service: legacy "
-              << workload::TextTable::num(comparison.legacy_lookup_ns, 0)
-              << " ns -> new "
-              << workload::TextTable::num(comparison.new_lookup_ns, 0)
-              << " ns (" << workload::TextTable::num(lookup_speedup, 1)
-              << "x)\n";
-    std::cout << "100k flows, idle check:        legacy "
-              << workload::TextTable::num(comparison.legacy_idle_ns, 0)
-              << " ns -> new "
-              << workload::TextTable::num(comparison.new_idle_ns, 0) << " ns ("
-              << workload::TextTable::num(idle_speedup, 1) << "x)\n";
-
-    // 1M RSS honesty check (skipped in --quick: it allocates ~0.5 GB).
-    double rss_ratio = 0;
-    long new_rss_1m = 0;
-    long old_rss_1m = 0;
-    if (!quick) {
-        for (const auto& [point, result] : results) {
-            if (point.flows == 1'000'000 && point.services == 64 &&
-                point.shards == 1 &&
-                point.fidelity == sdn::Fidelity::kExact) {
-                new_rss_1m = result.rss_kb;
-            }
-        }
-        const auto legacy = run_forked<long>(
-            [] { return legacy_rss_kb(1'000'000, 64); });
-        if (legacy && *legacy > 0 && new_rss_1m > 0) {
-            old_rss_1m = *legacy;
-            rss_ratio = static_cast<double>(new_rss_1m) /
-                        static_cast<double>(old_rss_1m);
-            std::cout << "1M-flow peak RSS: new " << new_rss_1m / 1024
-                      << " MB vs pre-change shape " << old_rss_1m / 1024
-                      << " MB (ratio "
-                      << workload::TextTable::num(rss_ratio, 2) << ")\n";
-        }
-    }
-
     std::ofstream out(out_path);
     out << "{\n  \"bench\": \"bench_scale\",\n  \"quick\": "
         << (quick ? "true" : "false") << ",\n  \"points\": [\n";
@@ -1467,15 +1266,7 @@ int main(int argc, char** argv) {
         out << json_point(results[i].first, results[i].second)
             << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
-    out << "  \"lookup_speedup_100k\": {\"flows_for_service\": "
-        << workload::TextTable::num(lookup_speedup, 1)
-        << ", \"idle_check\": " << workload::TextTable::num(idle_speedup, 1)
-        << "},\n";
-    out << "  \"rss_1m\": {\"new_kb\": " << new_rss_1m
-        << ", \"legacy_kb\": " << old_rss_1m << ", \"ratio\": "
-        << workload::TextTable::num(rss_ratio, 3) << "}\n";
-    out << "}\n";
+    out << "  ]\n}\n";
     out.close();
     std::cout << "wrote " << out_path << "\n";
 

@@ -133,11 +133,11 @@ private:
     }
 
     /// Stage an inbound message (coordinator only; serialized by the barrier,
-    /// by the locked channel coordinator's sync mutex, or — in the lock-free
-    /// coordinator — by the fact that only the owning lane touches the inbox).
+    /// or — in the channel coordinator — by the fact that only the owning
+    /// lane touches the inbox).
     void stage_inbound(Message&& m);
 
-    /// Stage a whole mailbox batch (lock-free coordinator: one ring pop per
+    /// Stage a whole mailbox batch (channel coordinator: one ring pop per
     /// batch). The vector is cleared but keeps its capacity, so handing it
     /// back to the SPSC ring recycles the allocation.
     void stage_inbound_batch(std::vector<Message>& batch);

@@ -33,14 +33,11 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
 
 SyncMode ShardedSimulation::default_sync() {
     const char* env = std::getenv("TEDGE_SYNC");
-    if (env != nullptr) {
-        if (std::strcmp(env, "barrier") == 0) return SyncMode::kBarrier;
-        if (std::strcmp(env, "channel-locked") == 0 ||
-            std::strcmp(env, "locked") == 0) {
-            return SyncMode::kChannelLocked;
-        }
-    }
-    return SyncMode::kChannel;
+    if (env == nullptr || *env == '\0') return SyncMode::kChannel;
+    if (std::strcmp(env, "barrier") == 0) return SyncMode::kBarrier;
+    if (std::strcmp(env, "channel") == 0) return SyncMode::kChannel;
+    throw std::invalid_argument(std::string("TEDGE_SYNC: unknown coordinator '") +
+                                env + "' (expected barrier|channel)");
 }
 
 bool ShardedSimulation::default_pin() {
@@ -65,6 +62,11 @@ ShardedSimulation::ShardedSimulation(Options options) : options_(options) {
         throw std::invalid_argument(
             "ShardedSimulation: lookahead must be positive (zero lookahead "
             "cannot make conservative progress)");
+    }
+    if (options_.sync == SyncMode::kChannelLocked) {
+        throw std::invalid_argument(
+            "ShardedSimulation: SyncMode::kChannelLocked is retired (use "
+            "kBarrier or kChannel)");
     }
 }
 
@@ -183,20 +185,15 @@ void ShardedSimulation::build_in_channels() {
     in_channels_built_ = true;
 }
 
-void ShardedSimulation::drain_staged_inboxes() {
-    for (std::size_t i = 0; i < staged_.size() && i < domains_.size(); ++i) {
-        for (auto& m : staged_[i]) domains_[i]->stage_inbound(std::move(m));
-        staged_[i].clear();
-    }
-    // Mailbox rings are always drained by normal lock-free termination
+void ShardedSimulation::drain_mailbox_rings() {
+    // Mailbox rings are always drained by normal channel-mode termination
     // (quiescence requires them empty); this only matters after an
-    // exceptional run or a coordinator-mode switch mid-flight.
-    if (plane_built_) {
-        std::vector<Domain::Message> batch;
-        for (std::size_t e = 0; e < edges_.size(); ++e) {
-            while (rings_[e]->try_pop(batch)) {
-                domains_[edges_[e].dst]->stage_inbound_batch(batch);
-            }
+    // exceptional run.
+    if (!plane_built_) return;
+    std::vector<Domain::Message> batch;
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+        while (rings_[e]->try_pop(batch)) {
+            domains_[edges_[e].dst]->stage_inbound_batch(batch);
         }
     }
 }
@@ -211,11 +208,9 @@ std::uint64_t ShardedSimulation::drive(Mode mode, SimTime deadline) {
         } else if (options_.sync == SyncMode::kBarrier ||
                    (mode == Mode::kRunUntil && deadline == SimTime::max())) {
             // run_until(max) has no finite quiescence point for the channel
-            // horizon fixpoint; the barrier driver handles it directly (all
+            // horizon fixpoint; the barrier driver handles it directly (both
             // coordinators produce identical results by construction).
             drive_barrier(mode, deadline);
-        } else if (options_.sync == SyncMode::kChannelLocked) {
-            drive_channel_locked(mode, deadline);
         } else {
             drive_channel(mode, deadline);
         }
@@ -277,11 +272,11 @@ void ShardedSimulation::drive_barrier(Mode mode, SimTime deadline) {
         }
         pool_ = std::make_unique<ThreadPool>(workers, options_.pin_lanes);
     }
-    // A prior channel-mode run can leave batches staged, and messages posted
-    // outside any window (before the first run, or between runs) sit in
-    // their sender's outbox; merge both before the eligibility scan so a
-    // run whose only work arrives by mail still starts.
-    drain_staged_inboxes();
+    // A prior channel-mode run that died can leave batches in the mailbox
+    // rings, and messages posted outside any window (before the first run,
+    // or between runs) sit in their sender's outbox; merge both before the
+    // eligibility scan so a run whose only work arrives by mail still starts.
+    drain_mailbox_rings();
     for (auto& d : domains_) {
         for (auto& m : d->outbox_) domains_[m.dst]->stage_inbound(std::move(m));
         d->outbox_.clear();
@@ -344,223 +339,6 @@ void ShardedSimulation::drive_barrier(Mode mode, SimTime deadline) {
             }
             d->outbox_.clear();
         }
-    }
-}
-
-void ShardedSimulation::drive_channel_locked(Mode mode, SimTime deadline) {
-    build_in_channels();
-    const std::size_t lanes = shard_count();
-    std::size_t workers = options_.workers;
-    if (workers == 0) {
-        workers = std::min<std::size_t>(
-            lanes, std::max(1u, std::thread::hardware_concurrency()));
-    }
-    const std::size_t nlanes = std::min(lanes, std::max<std::size_t>(1, workers));
-
-    // A prior lock-free run that died exceptionally can leave batches in the
-    // mailbox rings; merge them (and any staged leftovers) before lanes
-    // start. All horizons start at zero and only climb (publications are
-    // monotone); staged_ keeps its per-destination capacity across windows
-    // and runs.
-    drain_staged_inboxes();
-    horizon_.assign(domains_.size(), SimTime::zero());
-    if (staged_.size() < domains_.size()) staged_.resize(domains_.size());
-    fence_ = compute_fence();
-    version_ = 0;
-    busy_lanes_ = 0;
-    done_ = false;
-    lane_error_ = nullptr;
-    lane_stats_.assign(nlanes, LaneStat{});
-
-    if (nlanes <= 1) {
-        // Deterministic inline path: one lane, calling thread, fixed pass
-        // order -- window and null-message counters are reproducible here.
-        channel_lane_locked(0, 1, mode, deadline);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(nlanes);
-        for (std::size_t t = 0; t < nlanes; ++t) {
-            threads.emplace_back([this, t, nlanes, mode, deadline] {
-                if (options_.pin_lanes) pin_current_thread_to_core(t);
-                channel_lane_locked(t, nlanes, mode, deadline);
-            });
-        }
-        for (auto& th : threads) th.join();
-    }
-    for (const auto& stat : lane_stats_) rounds_ += stat.windows;
-    if (lane_error_ != nullptr) {
-        std::exception_ptr err = lane_error_;
-        lane_error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-}
-
-SimTime ShardedSimulation::safe_end_locked(DomainId dst) const {
-    SimTime end = SimTime::max();
-    for (const auto& [src, lookahead] : in_channels_[dst]) {
-        end = std::min(end, saturating_add(horizon_[src], lookahead));
-    }
-    return end;
-}
-
-bool ShardedSimulation::quiescent_locked(Mode mode, SimTime deadline) const {
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-        const Domain& d = *domains_[i];
-        for (const auto& m : staged_[i]) {
-            if (mode == Mode::kRun) {
-                if (!m.daemon || m.at <= fence_) return false;
-            } else if (m.at <= deadline) {
-                return false;
-            }
-        }
-        if (mode == Mode::kRun) {
-            if (d.has_eligible_work(fence_)) return false;
-        } else {
-            const SimTime next = d.next_work_time();
-            if (next <= deadline && next != SimTime::max()) return false;
-            if (d.sim().now() < deadline) return false;
-        }
-    }
-    return true;
-}
-
-// One lane of the *locked* channel coordinator (PR-8, kept for differential
-// testing). All shared state (horizons, fence, staged batches, version
-// counter) lives under sync_mu_; domain windows run unlocked -- a domain is
-// only ever touched by its owning lane (id % nlanes).
-//
-// Each pass over the lane's domains: merge staged batches into the inbox,
-// execute up to the channel-safe bound, flush the outbox as one batch per
-// destination, then publish fence and horizon updates. A horizon publication
-// that carried no execution and no payload is a pure null message. When a
-// full pass makes no progress and nothing was published since the pass
-// started, the lane either detects global quiescence (no lane executing,
-// nothing eligible anywhere) or sleeps until the version counter moves.
-void ShardedSimulation::channel_lane_locked(std::size_t lane, std::size_t nlanes,
-                                            Mode mode, SimTime deadline) {
-    using Clock = std::chrono::steady_clock;
-    LaneStat& stat = lane_stats_[lane];
-    const SimTime past_deadline = mode == Mode::kRunUntil
-                                      ? saturating_add(deadline, nanoseconds(1))
-                                      : SimTime::max();
-    std::unique_lock<std::mutex> lock(sync_mu_);
-    try {
-        for (;;) {
-            if (done_) return;
-            const std::uint64_t seen = version_;
-            bool progressed = false;
-            for (std::size_t i = lane; i < domains_.size(); i += nlanes) {
-                Domain& d = *domains_[i];
-                if (!staged_[i].empty()) {
-                    for (auto& m : staged_[i]) d.stage_inbound(std::move(m));
-                    staged_[i].clear();
-                    progressed = true;
-                }
-                const SimTime fence = mode == Mode::kRun ? fence_ : SimTime::max();
-                SimTime end = safe_end_locked(static_cast<DomainId>(i));
-                if (mode == Mode::kRunUntil) end = std::min(end, past_deadline);
-                std::uint64_t executed = 0;
-                bool published = false;
-                // Attempt a window only when it can actually execute
-                // something: next work inside the safe bound AND not entirely
-                // fence-blocked daemons. A futile attempt would be a no-op
-                // (run_window_fenced does not even advance the clock), and
-                // publishing for it would keep every lane spinning on
-                // version bumps that carry no information -- with all lanes
-                // perpetually "busy" on empty windows, the quiescence check
-                // below could starve forever.
-                if (d.next_work_time() < end && d.has_eligible_work(fence)) {
-                    ++busy_lanes_;
-                    lock.unlock();
-                    const auto t0 = Clock::now();
-                    executed = d.advance_window(end, fence);
-                    const auto t1 = Clock::now();
-                    stat.busy_ns += elapsed_ns(t0, t1);
-                    ++stat.windows;
-                    lock.lock();
-                    --busy_lanes_;
-                    if (executed > 0) progressed = true;
-                }
-                bool sent = false;
-                if (!d.outbox_.empty()) {
-                    // One batch append per (src, dst, window): messages to the
-                    // same destination land contiguously in its staging
-                    // vector under a single lock hold, and the single version
-                    // bump below is the one wakeup the whole batch costs.
-                    for (auto& m : d.outbox_) {
-                        staged_[m.dst].push_back(std::move(m));
-                    }
-                    d.outbox_.clear();
-                    sent = true;
-                    published = true;
-                }
-                if (mode == Mode::kRun) {
-                    const SimTime uh = d.user_horizon();
-                    if (uh > fence_) {
-                        fence_ = uh;
-                        published = true;
-                    }
-                } else {
-                    // run_until semantics: once nothing at or before the
-                    // deadline remains and nothing more can arrive (the safe
-                    // bound cleared the deadline), pin the clock to it. The
-                    // queue holds nothing <= deadline, so this executes zero
-                    // events and is fine under the lock.
-                    const SimTime next = d.next_work_time();
-                    const bool drained = next > deadline || next == SimTime::max();
-                    if (drained && d.sim().now() < deadline &&
-                        safe_end_locked(static_cast<DomainId>(i)) >= past_deadline) {
-                        d.sim().run_until(deadline);
-                    }
-                }
-                // Horizon: a lower bound on anything this domain will still
-                // execute -- its earliest pending work, capped by its own
-                // safe bound (staged messages it has not seen yet can only
-                // arrive at or after that). Monotone by construction.
-                const SimTime h = std::min(
-                    d.next_work_time(),
-                    safe_end_locked(static_cast<DomainId>(i)));
-                if (h > horizon_[i]) {
-                    horizon_[i] = h;
-                    if (executed == 0 && !sent) ++null_messages_;
-                    published = true;
-                }
-                if (published) {
-                    ++version_;
-                    sync_cv_.notify_all();
-                }
-            }
-            if (progressed) continue;
-            // Quiescence falls to whichever lane finishes last: a lane only
-            // sleeps while another is mid-window (busy_lanes_ > 0) or has
-            // pending publications to absorb, and every change that could
-            // enable a sleeping lane's domains -- a message batch, a horizon
-            // climb, a fence extension -- bumps the version and wakes it. So
-            // the final no-progress pass always runs with busy_lanes_ == 0
-            // on some lane, which detects quiescence here and releases the
-            // rest via done_.
-            if (busy_lanes_ == 0 && quiescent_locked(mode, deadline)) {
-                done_ = true;
-                sync_cv_.notify_all();
-                return;
-            }
-            if (version_ != seen) continue;  // horizons or fence moved: re-pass
-            if (nlanes == 1) {
-                // A single lane has nobody to wait for: a stable, no-progress,
-                // non-quiescent pass means the protocol is wedged.
-                throw std::logic_error(
-                    "ShardedSimulation: channel coordinator stalled (no "
-                    "progress, no pending publications, not quiescent)");
-            }
-            const auto t0 = Clock::now();
-            sync_cv_.wait(lock, [&] { return done_ || version_ != seen; });
-            stat.blocked_ns += elapsed_ns(t0, Clock::now());
-        }
-    } catch (...) {
-        if (!lock.owns_lock()) lock.lock();
-        if (lane_error_ == nullptr) lane_error_ = std::current_exception();
-        done_ = true;
-        sync_cv_.notify_all();
     }
 }
 
@@ -1041,10 +819,10 @@ void ShardedSimulation::drive_channel(Mode mode, SimTime deadline) {
     }
     const std::size_t nlanes = std::min(lanes, std::max<std::size_t>(1, workers));
 
-    // Single-threaded setup: merge leftovers from prior runs of other
-    // coordinators plus messages posted outside any window, reset the plane
-    // (clocks are monotone *within* a run), and arm every domain.
-    drain_staged_inboxes();
+    // Single-threaded setup: merge ring leftovers from an exceptional prior
+    // run plus messages posted outside any window, reset the plane (clocks
+    // are monotone *within* a run), and arm every domain.
+    drain_mailbox_rings();
     for (auto& d : domains_) {
         for (auto& m : d->outbox_) domains_[m.dst]->stage_inbound(std::move(m));
         d->outbox_.clear();

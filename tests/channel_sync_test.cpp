@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,9 +195,7 @@ TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
         ASSERT_GT(base.messages, 0u);
         ASSERT_FALSE(base.logs.empty());
 
-        for (const SyncMode sync :
-             {SyncMode::kBarrier, SyncMode::kChannelLocked,
-              SyncMode::kChannel}) {
+        for (const SyncMode sync : {SyncMode::kBarrier, SyncMode::kChannel}) {
             for (const std::size_t shards : {1u, 2u, 8u}) {
                 for (const std::size_t workers : {1u, 4u}) {
                     ScenarioConfig config = base_config;
@@ -205,9 +205,7 @@ TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
                     const RunDigest run = run_scenario(config);
                     const std::string label =
                         std::string(sync == SyncMode::kBarrier ? "barrier "
-                                    : sync == SyncMode::kChannelLocked
-                                        ? "channel-locked "
-                                        : "channel ") +
+                                                               : "channel ") +
                         std::to_string(shards) + "x" + std::to_string(workers) +
                         (explicit_channels ? " explicit" : " mesh");
                     EXPECT_EQ(run.events, base.events) << label;
@@ -280,6 +278,29 @@ TEST(ChannelSyncDifferentialTest, CountersDeterministicWithSingleWorker) {
     EXPECT_EQ(nulls_a, nulls_b);
     EXPECT_EQ(rounds_a, rounds_b);
     EXPECT_GT(rounds_a, 0u);
+}
+
+// The retired mutex coordinator and misspelled TEDGE_SYNC values are
+// rejected loudly rather than silently falling back to the default.
+TEST(ChannelSyncDifferentialTest, RetiredAndUnknownSyncModesAreRejected) {
+    const char* prior = std::getenv("TEDGE_SYNC");
+    const std::optional<std::string> saved =
+        prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
+    for (const char* bad : {"channel-locked", "chanel"}) {
+        ::setenv("TEDGE_SYNC", bad, 1);
+        EXPECT_THROW((void)ShardedSimulation::default_sync(), std::invalid_argument)
+            << bad;
+    }
+    ::setenv("TEDGE_SYNC", "barrier", 1);
+    EXPECT_EQ(ShardedSimulation::default_sync(), SyncMode::kBarrier);
+    if (saved) {
+        ::setenv("TEDGE_SYNC", saved->c_str(), 1);
+    } else {
+        ::unsetenv("TEDGE_SYNC");
+    }
+    EXPECT_THROW(ShardedSimulation(ShardedSimulation::Options{
+                     .sync = SyncMode::kChannelLocked}),
+                 std::invalid_argument);
 }
 
 // --------------------------------------------------- per-channel contracts
