@@ -186,6 +186,48 @@ void BM_FlowTableLookupWildcard(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableLookupWildcard)->Arg(16)->Arg(256)->Arg(2048);
 
+/// Steady install plus idle expiry at constant occupancy `n`: each iteration
+/// installs one per-client entry and looks it up, and that lookup sweeps out
+/// the entry installed `n` iterations earlier, whose idle timer just ran
+/// out. This is the write path of a switch whose per-client entries idle out
+/// and are reinstalled.
+void BM_FlowTableChurn(benchmark::State& state) {
+    const auto n = static_cast<std::int64_t>(state.range(0));
+    const sim::SimTime step = sim::microseconds(10);
+    net::FlowTable table;
+    net::FlowEntry entry;
+    entry.match.dst_ip = net::Ipv4{10, 0, 0, 1};
+    entry.match.dst_port = 80;
+    entry.match.proto = net::Proto::kTcp;
+    entry.idle_timeout = sim::nanoseconds(step.ns() * n);
+    net::Packet packet;
+    packet.dst_ip = *entry.match.dst_ip;
+    packet.dst_port = 80;
+    packet.proto = net::Proto::kTcp;
+    sim::SimTime now = sim::SimTime::zero();
+    std::int64_t installs = 0;
+    const auto churn_one = [&] {
+        // 2n distinct clients, so a client returns only after its entry
+        // has expired.
+        const std::int64_t client = installs++ % (2 * n);
+        const net::Ipv4 src{192, 168, static_cast<std::uint8_t>(client >> 8),
+                            static_cast<std::uint8_t>(client & 0xff)};
+        now += step;
+        entry.match.src_ip = src;
+        entry.cookie = static_cast<std::uint64_t>(installs);
+        table.install(entry, now);
+        packet.src_ip = src;
+        return table.lookup(packet, now);
+    };
+    for (std::int64_t i = 0; i < 2 * n; ++i) churn_one(); // reach steady occupancy
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(churn_one());
+    }
+    state.counters["occupancy"] = static_cast<double>(table.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FlowTableChurn)->Arg(256)->Arg(2048);
+
 // --------------------------------------------------------------------------
 // Everything else.
 

@@ -125,9 +125,10 @@ TEST(KernelFastPath, StaleHandleAfterCancellationCannotCancelReusedSlot) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow table: the exact-match index + wildcard fallback must return exactly
-// what the reference full scan (peek) returns, on tables mixing priorities,
-// specificities and timeouts.
+// Flow table: lookup() (sweep, then match) must return exactly what peek()
+// (match, skipping expired entries) returns, on tables mixing priorities,
+// specificities and timeouts. The brute-force model of the whole table is
+// FlowTableDifferential in property_test.cpp.
 
 net::Packet random_packet(sim::Rng& rng) {
     net::Packet p;
@@ -169,8 +170,8 @@ TEST(KernelFastPath, IndexedLookupMatchesReferenceScanOnMixedTable) {
     for (int i = 0; i < 2000; ++i) {
         const net::Packet packet = random_packet(rng);
         const auto now = sim::milliseconds(i);
-        // peek() is the reference full scan. Copy its result before lookup():
-        // lookup() may sweep expired entries and invalidate the pointer.
+        // Copy peek()'s result before lookup(): lookup() may sweep expired
+        // entries and invalidate the pointer.
         const net::FlowEntry* ref = table.peek(packet, now);
         const std::optional<net::FlowEntry> expected =
             ref ? std::optional<net::FlowEntry>(*ref) : std::nullopt;
@@ -222,12 +223,12 @@ TEST(KernelFastPath, IndexedLookupMatchesScanAcrossExpiryAndRemoval) {
             EXPECT_EQ(got->cookie, expected->cookie) << "i=" << i;
         }
         if (i == 200) {
-            // Structural removal mid-stream: the index must be rebuilt.
+            // Structural removal mid-stream: the index must drop the entries.
             table.remove_by_cookie(5);
             table.remove_by_cookie(17);
         }
     }
-    // Timeouts were assigned, so the amortized sweeps must actually fire.
+    // Timeouts were assigned, so the deadline-heap sweeps must actually fire.
     EXPECT_FALSE(removed_log.empty());
 }
 

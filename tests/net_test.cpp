@@ -178,6 +178,59 @@ TEST(FlowTable, RemovedCallbackReportsIdleVsHard) {
     }
 }
 
+TEST(FlowTable, RemovedCallbackMayInstallAndRemoveEntries) {
+    // A FlowRemoved handler that edits the table while the sweep is calling
+    // back: the expired entries must already be gone, and the handler's
+    // installs (enough to grow the storage) must not disturb the sweep.
+    FlowTable table;
+    std::vector<std::pair<std::uint64_t, bool>> removed;
+    table.set_removed_callback([&](const FlowEntry& entry, bool idle) {
+        removed.emplace_back(entry.cookie, idle);
+        EXPECT_FALSE(table.peek(make_packet(Ipv4{1, 1, 1, 1}, Ipv4{2, 2, 2, 2},
+                                            *entry.match.dst_port),
+                                seconds(6)));
+        if (entry.cookie != 1) return;
+        FlowEntry again = entry;
+        again.cookie = 10;
+        again.idle_timeout = seconds(100);
+        table.install(again, seconds(6));
+        for (std::uint16_t port = 100; port < 164; ++port) {
+            FlowEntry filler;
+            filler.match.dst_port = port;
+            filler.cookie = port;
+            table.install(filler, seconds(6));
+        }
+        FlowMatch neighbour;
+        neighbour.dst_port = 4;
+        EXPECT_EQ(table.remove(neighbour), 1u);
+        EXPECT_EQ(table.expire(seconds(6)), 0u); // nested sweep: nothing left due
+    });
+    for (std::uint16_t port = 1; port <= 4; ++port) {
+        FlowEntry e;
+        e.match.dst_port = port;
+        e.cookie = port;
+        if (port == 2) {
+            e.hard_timeout = seconds(5);
+        } else {
+            e.idle_timeout = seconds(port <= 3 ? 5 : 50);
+        }
+        table.install(e, sim::SimTime::zero());
+    }
+    EXPECT_EQ(table.expire(seconds(6)), 3u);
+    const std::vector<std::pair<std::uint64_t, bool>> want{
+        {1, true}, {2, false}, {3, true}};
+    EXPECT_EQ(removed, want);
+    EXPECT_EQ(table.size(), 65u);
+    const auto left = table.entries();
+    ASSERT_EQ(left.size(), 65u);
+    EXPECT_EQ(left.front().cookie, 10u);
+    EXPECT_EQ(left.back().cookie, 163u);
+    const auto hit = table.lookup(make_packet(Ipv4{1, 1, 1, 1}, Ipv4{2, 2, 2, 2}, 1),
+                                  seconds(7));
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->cookie, 10u);
+}
+
 TEST(FlowTable, InstallOverwritesSameMatchAndPriority) {
     FlowTable table;
     FlowEntry e;

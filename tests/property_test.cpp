@@ -1,5 +1,7 @@
 // Randomized property tests against reference models:
 //  - FlowTable vs a brute-force matcher,
+//  - FlowTable vs a dense-vector model under random install, overwrite,
+//    lookup, expiry and removal sequences,
 //  - yamlite emit/parse round-trip on random documents,
 //  - SharedLink byte conservation and completion-order sanity,
 //  - Trace CSV round-trip on random traces.
@@ -94,6 +96,227 @@ TEST_P(FlowTableFuzz, MatchesBruteForceOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------------------- FlowTable vs dense-vector model
+
+/// The flow table's semantics written the plain way: one vector in install
+/// order, an overwrite keeps its position, every lookup first sweeps every
+/// expired entry in vector order, every removal is an erase_if.
+struct DenseFlowTableModel {
+    struct Removed {
+        std::uint64_t cookie = 0;
+        bool idle = false;
+        std::uint16_t serial = 0; ///< the entry's set_dst_port tag
+        bool operator==(const Removed&) const = default;
+    };
+
+    std::vector<net::FlowEntry> entries;
+    std::vector<Removed> removed;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    bool install(net::FlowEntry e, sim::SimTime now) {
+        e.installed_at = now;
+        e.last_used = now;
+        e.packet_count = 0;
+        const auto it =
+            std::find_if(entries.begin(), entries.end(), [&](const net::FlowEntry& x) {
+                return x.match == e.match && x.priority == e.priority;
+            });
+        if (it != entries.end()) {
+            *it = e;
+            return true;
+        }
+        entries.push_back(e);
+        return false;
+    }
+
+    std::size_t expire(sim::SimTime now) {
+        const auto before = entries.size();
+        std::erase_if(entries, [&](const net::FlowEntry& e) {
+            if (!e.expired(now)) return false;
+            const bool hard = e.hard_timeout > sim::SimTime::zero() &&
+                              now - e.installed_at >= e.hard_timeout;
+            removed.push_back({e.cookie, !hard, *e.action.set_dst_port});
+            return true;
+        });
+        return before - entries.size();
+    }
+
+    std::optional<net::FlowEntry> lookup(const net::Packet& p, sim::SimTime now) {
+        expire(now);
+        const net::FlowEntry* best = oracle_best(entries, p);
+        if (best == nullptr) {
+            ++misses;
+            return std::nullopt;
+        }
+        net::FlowEntry& e = entries[static_cast<std::size_t>(best - entries.data())];
+        e.last_used = now;
+        ++e.packet_count;
+        ++hits;
+        return e;
+    }
+
+    /// peek(): the best live entry without sweeping or touching.
+    [[nodiscard]] std::optional<net::FlowEntry> peek(const net::Packet& p,
+                                                     sim::SimTime now) const {
+        std::vector<net::FlowEntry> live;
+        for (const auto& e : entries) {
+            if (!e.expired(now)) live.push_back(e);
+        }
+        const net::FlowEntry* best = oracle_best(live, p);
+        return best ? std::optional<net::FlowEntry>(*best) : std::nullopt;
+    }
+
+    template <typename Pred>
+    std::size_t remove_if(Pred pred) {
+        return std::erase_if(entries, pred);
+    }
+};
+
+bool same_entry(const net::FlowEntry& a, const net::FlowEntry& b) {
+    return a.match == b.match && a.action == b.action && a.priority == b.priority &&
+           a.idle_timeout == b.idle_timeout && a.hard_timeout == b.hard_timeout &&
+           a.cookie == b.cookie && a.installed_at == b.installed_at &&
+           a.last_used == b.last_used && a.packet_count == b.packet_count;
+}
+
+bool same_result(const std::optional<net::FlowEntry>& a,
+                 const std::optional<net::FlowEntry>& b) {
+    if (!a || !b) return a.has_value() == b.has_value();
+    return same_entry(*a, *b);
+}
+
+/// A small key space, so overwrites, priority stacks on one exact key and
+/// wildcard/exact contests all happen within a few hundred operations.
+net::Packet small_space_packet(sim::Rng& rng) {
+    net::Packet p;
+    p.src_ip = net::Ipv4{10, 0, 0, static_cast<std::uint8_t>(rng.uniform_int(1, 3))};
+    p.dst_ip = net::Ipv4{10, 0, 1, static_cast<std::uint8_t>(rng.uniform_int(1, 3))};
+    p.dst_port = static_cast<std::uint16_t>(rng.uniform_int(80, 81));
+    p.proto = rng.chance(0.5) ? net::Proto::kTcp : net::Proto::kUdp;
+    return p;
+}
+
+net::FlowEntry small_space_entry(sim::Rng& rng, std::uint16_t serial) {
+    const net::Packet p = small_space_packet(rng);
+    net::FlowEntry e;
+    const bool exact = rng.chance(0.6);
+    if (exact || rng.chance(0.6)) e.match.src_ip = p.src_ip;
+    if (exact || rng.chance(0.6)) e.match.dst_ip = p.dst_ip;
+    if (exact || rng.chance(0.6)) e.match.dst_port = p.dst_port;
+    if (exact || rng.chance(0.6)) e.match.proto = p.proto;
+    e.priority = static_cast<std::uint16_t>(rng.uniform_int(1, 3) * 100);
+    if (rng.chance(0.8)) e.idle_timeout = sim::milliseconds(rng.uniform_int(200, 5000));
+    if (rng.chance(0.3)) e.hard_timeout = sim::milliseconds(rng.uniform_int(1000, 8000));
+    // Cookies repeat across a few groups so remove_by_cookie can hit several
+    // entries; the serial in the action tells each install apart.
+    e.cookie = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+    e.action.set_dst_port = serial;
+    return e;
+}
+
+class FlowTableDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowTableDifferential, MatchesDenseVectorModel) {
+    sim::Rng rng(GetParam());
+    net::FlowTable table;
+    std::vector<DenseFlowTableModel::Removed> table_removed;
+    table.set_removed_callback([&](const net::FlowEntry& e, bool idle) {
+        table_removed.push_back({e.cookie, idle, *e.action.set_dst_port});
+    });
+    DenseFlowTableModel model;
+    const auto pick = [&] {
+        return model.entries[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(model.entries.size()) - 1))];
+    };
+    sim::SimTime now = sim::SimTime::zero();
+    std::uint16_t serial = 0;
+    int overwrites = 0;
+    int reuses = 0;
+    for (int op = 0; op < 2000; ++op) {
+        now += sim::milliseconds(rng.uniform_int(0, 300));
+        const double r = rng.uniform01();
+        if (r < 0.30) {
+            const auto e = small_space_entry(rng, ++serial);
+            ASSERT_EQ(table.install(e, now), model.install(e, now)) << "op " << op;
+        } else if (r < 0.40 && !model.entries.empty()) {
+            // Overwrite at the same match and priority with a shorter idle
+            // timeout: the table must not wait for the old, later deadline.
+            auto e = pick();
+            e.idle_timeout = e.idle_timeout > sim::SimTime::zero()
+                                 ? sim::nanoseconds(e.idle_timeout.ns() / 4)
+                                 : sim::milliseconds(100);
+            e.action.set_dst_port = ++serial;
+            ASSERT_TRUE(table.install(e, now)) << "op " << op;
+            ASSERT_TRUE(model.install(e, now)) << "op " << op;
+            ++overwrites;
+        } else if (r < 0.70) {
+            const auto p = small_space_packet(rng);
+            const net::FlowEntry* peeked = table.peek(p, now);
+            ASSERT_TRUE(same_result(peeked ? std::optional<net::FlowEntry>(*peeked)
+                                           : std::nullopt,
+                                    model.peek(p, now)))
+                << "peek, op " << op;
+            ASSERT_TRUE(same_result(table.lookup(p, now), model.lookup(p, now)))
+                << "lookup, op " << op;
+        } else if (r < 0.76) {
+            ASSERT_EQ(table.expire(now), model.expire(now)) << "op " << op;
+        } else if (r < 0.82 && !model.entries.empty()) {
+            const net::FlowMatch match = pick().match;
+            ASSERT_EQ(table.remove(match),
+                      model.remove_if([&](const net::FlowEntry& e) { return e.match == match; }))
+                << "op " << op;
+        } else if (r < 0.87) {
+            const auto cookie = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+            ASSERT_EQ(table.remove_by_cookie(cookie),
+                      model.remove_if([&](const net::FlowEntry& e) { return e.cookie == cookie; }))
+                << "op " << op;
+        } else if (r < 0.92) {
+            const net::Ipv4 src = small_space_packet(rng).src_ip;
+            ASSERT_EQ(table.remove_by_src_ip(src),
+                      model.remove_if([&](const net::FlowEntry& e) {
+                          return e.match.src_ip && *e.match.src_ip == src;
+                      }))
+                << "op " << op;
+        } else if (!model.entries.empty()) {
+            // Remove an entry and reinstall its match right away, so the
+            // freed slot is reused under a new generation.
+            auto e = pick();
+            ASSERT_EQ(table.remove(e.match),
+                      model.remove_if([&](const net::FlowEntry& x) { return x.match == e.match; }))
+                << "op " << op;
+            e.action.set_dst_port = ++serial;
+            ASSERT_FALSE(table.install(e, now)) << "op " << op;
+            ASSERT_FALSE(model.install(e, now)) << "op " << op;
+            ++reuses;
+        }
+
+        ASSERT_EQ(table.size(), model.entries.size()) << "op " << op;
+        ASSERT_EQ(table.hit_count(), model.hits) << "op " << op;
+        ASSERT_EQ(table.miss_count(), model.misses) << "op " << op;
+        ASSERT_EQ(table_removed, model.removed) << "op " << op;
+        const auto got = table.entries();
+        ASSERT_EQ(got.size(), model.entries.size()) << "op " << op;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(same_entry(got[i], model.entries[i])) << "op " << op << " entry " << i;
+        }
+    }
+    // The run must have exercised every path it claims to check.
+    EXPECT_GT(overwrites, 0);
+    EXPECT_GT(reuses, 0);
+    EXPECT_GT(model.hits, 0u);
+    EXPECT_GT(model.misses, 0u);
+    EXPECT_GT(std::count_if(model.removed.begin(), model.removed.end(),
+                            [](const auto& r) { return r.idle; }),
+              0);
+    EXPECT_GT(std::count_if(model.removed.begin(), model.removed.end(),
+                            [](const auto& r) { return !r.idle; }),
+              0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableDifferential,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // -------------------------------------------------- yamlite round-trip fuzz
