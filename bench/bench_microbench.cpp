@@ -1,20 +1,48 @@
 // Microbenchmarks for the framework's hot paths: event queue, flow-table
-// lookup at realistic table sizes, scheduler decisions, YAML parsing, and
-// statistics. These are real-time benchmarks of the simulator itself (not
-// simulated time) -- they bound how fast experiments run.
+// lookup at realistic table sizes, the warm HTTP request path, scheduler
+// decisions, YAML parsing, and statistics. These are real-time benchmarks of
+// the simulator itself (not simulated time) -- they bound how fast
+// experiments run.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <vector>
 
+#include "container/runtime.hpp"
 #include "net/flow_table.hpp"
+#include "net/ovs_switch.hpp"
+#include "net/tcp.hpp"
 #include "sdn/schedulers/proximity.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/stats.hpp"
+#include "workload/http_client.hpp"
+#include "workload/metrics.hpp"
 #include "yamlite/emitter.hpp"
 #include "yamlite/parser.hpp"
+
+// Every allocation in this binary goes through these replacements, so a
+// benchmark can report allocations per operation next to its time.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+} // namespace
+
+// The library's array forms forward to these. noinline keeps GCC from
+// pairing the inlined malloc/free against the new/delete expressions at call
+// sites (-Wmismatched-new-delete false positives).
+__attribute__((noinline)) void* operator new(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -123,6 +151,68 @@ BENCHMARK(BM_SimulationNestedEvents<sim::QueueBackend::kHeap>)
     ->Name("BM_SimulationNestedEvents/heap");
 BENCHMARK(BM_SimulationNestedEvents<sim::QueueBackend::kWheel>)
     ->Name("BM_SimulationNestedEvents/wheel");
+
+// --------------------------------------------------------------------------
+// Warm HTTP request: the steady-state path of the paper's transparent access
+// (client SYN, OVS table hit, destination rewrite, container endpoint, HTTP
+// response, metrics record), one request at a time, run to completion.
+
+void BM_HttpRequestWarmHit(benchmark::State& state) {
+    sim::Simulation simulation;
+    net::Topology topo;
+    net::EndpointDirectory endpoints;
+    const auto client = topo.add_host("client", net::Ipv4{10, 0, 1, 1});
+    const auto edge = topo.add_host("edge", net::Ipv4{10, 0, 0, 2});
+    const auto gnb = topo.add_switch("gnb");
+    topo.add_link(client, gnb, sim::microseconds(100), sim::gbit_per_sec(1));
+    topo.add_link(edge, gnb, sim::microseconds(100), sim::gbit_per_sec(10));
+    net::OvsSwitch ingress(simulation, topo, gnb);
+    net::TcpNet tcp(simulation, topo, ingress, endpoints);
+
+    // A Docker-style endpoint: a running container's HTTP handler.
+    container::AppProfile nginx;
+    nginx.name = "nginx";
+    container::ContainerRuntime runtime(simulation, topo, edge, endpoints, sim::Rng(5));
+    container::ContainerConfig config;
+    config.name = "nginx";
+    config.app = &nginx;
+    container::ContainerId id = 0;
+    runtime.create(config, [&](container::ContainerId created) { id = created; });
+    simulation.run();
+    runtime.start(id, 8080, [] {});
+    simulation.run();
+
+    // The flow entry the controller installs after the first packet-in.
+    const net::ServiceAddress vip{net::Ipv4{203, 0, 113, 1}, 80};
+    net::FlowEntry entry;
+    entry.match.dst_ip = vip.ip;
+    entry.match.dst_port = vip.port;
+    entry.action.set_dst_ip = topo.node(edge).ip;
+    entry.action.set_dst_port = 8080;
+    entry.action.forward_to = edge;
+    ingress.table().install(entry, simulation.now());
+
+    workload::MetricsCollector metrics;
+    workload::HttpClient http(tcp, metrics);
+    std::uint64_t ok = 0;
+    const std::uint64_t allocations_before = g_allocations.load();
+    for (auto _ : state) {
+        http.request(client, 0, vip, 100, "nginx",
+                     [&ok](const net::HttpResult& r) { ok += r.ok ? 1 : 0; });
+        simulation.run();
+        benchmark::DoNotOptimize(ok);
+        // Bound the record log; clear() keeps the vector's capacity.
+        if (metrics.count() == 4096) metrics.clear();
+    }
+    const auto requests = static_cast<double>(state.iterations());
+    state.counters["allocs_per_req"] =
+        static_cast<double>(g_allocations.load() - allocations_before) / requests;
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    if (ok != static_cast<std::uint64_t>(state.iterations())) {
+        state.SkipWithError("a warm request failed");
+    }
+}
+BENCHMARK(BM_HttpRequestWarmHit);
 
 // --------------------------------------------------------------------------
 // Flow table: exact-match index and the wildcard fallback scan.

@@ -144,7 +144,7 @@ run_deployment_experiment(const DeploymentExperimentOptions& options) {
     auto& metrics = runner.replay(result.trace, replay);
 
     // First request per service vs. warm requests.
-    std::map<std::string, const workload::RequestRecord*> first_by_service;
+    std::map<sim::SymbolId, const workload::RequestRecord*> first_by_service;
     for (const auto& record : metrics.records()) {
         auto& slot = first_by_service[record.service];
         if (slot == nullptr || record.sent < slot->sent) slot = &record;

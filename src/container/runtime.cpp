@@ -116,30 +116,34 @@ void ContainerRuntime::start(ContainerId id, std::uint16_t host_port,
 
 void ContainerRuntime::bind_endpoint(ContainerId id) {
     auto& info = containers_.at(id);
-    const AppProfile* app = info.config.app;
     auto queue = std::make_shared<RequestQueue>();
+    queue->app = info.config.app;
     queues_[id] = queue;
 
     endpoints_.bind(node_, info.host_port,
-                    [this, app, queue](sim::Bytes /*request_size*/,
-                                       net::EndpointDirectory::ReplyFn reply) {
-        auto serve = [this, app, queue, reply = std::move(reply)]() mutable {
-            ++queue->active;
-            const sim::SimTime service = app->sample_service(rng_);
-            sim_.schedule(service, [this, app, queue, reply = std::move(reply)] {
-                --queue->active;
-                reply(app->response_size);
-                if (!queue->waiting.empty() && queue->active < app->concurrency) {
-                    auto next = std::move(queue->waiting.front());
-                    queue->waiting.pop_front();
-                    next();
-                }
-            });
-        };
-        if (queue->active < app->concurrency) {
-            serve();
+                    [this, queue](sim::Bytes /*request_size*/,
+                                  net::EndpointDirectory::ReplyFn reply) {
+        if (queue->active < queue->app->concurrency) {
+            serve(queue, std::move(reply));
         } else {
-            queue->waiting.push_back(std::move(serve));
+            queue->waiting.push_back(std::move(reply));
+        }
+    });
+}
+
+void ContainerRuntime::serve(std::shared_ptr<RequestQueue> queue,
+                             net::EndpointDirectory::ReplyFn reply) {
+    ++queue->active;
+    const AppProfile* app = queue->app;
+    const sim::SimTime service = app->sample_service(rng_);
+    sim_.schedule(service, [this, queue = std::move(queue),
+                            reply = std::move(reply)]() mutable {
+        --queue->active;
+        reply(queue->app->response_size);
+        if (!queue->waiting.empty() && queue->active < queue->app->concurrency) {
+            auto next = std::move(queue->waiting.front());
+            queue->waiting.pop_front();
+            serve(std::move(queue), std::move(next));
         }
     });
 }

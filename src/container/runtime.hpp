@@ -21,6 +21,7 @@
 #include "net/topology.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/unique_function.hpp"
 
 namespace tedge::container {
 
@@ -99,12 +100,17 @@ public:
     [[nodiscard]] std::size_t active_starts() const { return active_starts_; }
 
 private:
+    /// Bounded request concurrency of one container's endpoint. Shared by
+    /// the bound handler and every request in service, so a stopped
+    /// container still answers the requests it already accepted.
     struct RequestQueue {
+        const AppProfile* app = nullptr;
         int active = 0;
-        std::deque<std::function<void()>> waiting;
+        std::deque<net::EndpointDirectory::ReplyFn> waiting;
     };
 
     void bind_endpoint(ContainerId id);
+    void serve(std::shared_ptr<RequestQueue> queue, net::EndpointDirectory::ReplyFn reply);
     sim::SimTime contention(sim::SimTime base) const;
 
     sim::Simulation& sim_;

@@ -182,7 +182,7 @@ void EdgePlatform::provision_cloud_service(const sdn::AnnotatedService& service)
             return;
         }
         const sim::SimTime service_time = app->sample_service(*rng);
-        sim_->schedule(service_time, [app, reply = std::move(reply)] {
+        sim_->schedule(service_time, [app, reply = std::move(reply)]() mutable {
             reply(app->response_size);
         });
     });
@@ -212,7 +212,7 @@ sdn::Controller& EdgePlatform::start_controller(net::NodeId controller_host,
 void EdgePlatform::http_request(net::NodeId client,
                                 const net::ServiceAddress& address,
                                 sim::Bytes request_size,
-                                std::function<void(const net::HttpResult&)> done) {
+                                net::TcpNet::DoneFn done) {
     tcp_->http_request(client, address, request_size, std::move(done));
 }
 

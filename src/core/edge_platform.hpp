@@ -147,8 +147,7 @@ public:
     // --- convenience --------------------------------------------------------
     /// Issue an HTTP request from `client` to a registered cloud address.
     void http_request(net::NodeId client, const net::ServiceAddress& address,
-                      sim::Bytes request_size,
-                      std::function<void(const net::HttpResult&)> done);
+                      sim::Bytes request_size, net::TcpNet::DoneFn done);
 
 private:
     void init();

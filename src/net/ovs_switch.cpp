@@ -12,7 +12,7 @@ void OvsSwitch::set_controller(PacketInHandler handler) {
 }
 
 void OvsSwitch::resolve_with_entry(const Packet& packet, const FlowEntry& entry,
-                                   const ResolveCallback& done) {
+                                   ResolveCallback& done) {
     Resolution r;
     Packet rewritten = packet;
     if (entry.action.set_dst_ip) rewritten.dst_ip = *entry.action.set_dst_ip;
@@ -31,7 +31,7 @@ void OvsSwitch::resolve_with_entry(const Packet& packet, const FlowEntry& entry,
     done(r);
 }
 
-void OvsSwitch::resolve_original(const Packet& packet, const ResolveCallback& done) {
+void OvsSwitch::resolve_original(const Packet& packet, ResolveCallback& done) {
     Resolution r;
     r.effective_dst = packet.dst();
     const auto node = topo_.find_by_ip(packet.dst_ip);
@@ -44,7 +44,7 @@ void OvsSwitch::resolve_original(const Packet& packet, const ResolveCallback& do
 }
 
 void OvsSwitch::submit(const Packet& packet, ResolveCallback done) {
-    sim_.schedule(config_.pipeline_delay, [this, packet, done = std::move(done)] {
+    sim_.schedule(config_.pipeline_delay, [this, packet, done = std::move(done)]() mutable {
         const auto entry = table_.lookup(packet, sim_.now());
         if (entry) {
             resolve_with_entry(packet, *entry, done);

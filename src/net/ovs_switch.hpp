@@ -17,6 +17,7 @@
 #include "net/openflow.hpp"
 #include "net/topology.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/unique_function.hpp"
 
 namespace tedge::net {
 
@@ -35,7 +36,8 @@ struct OvsSwitchConfig {
 
 class OvsSwitch {
 public:
-    using ResolveCallback = std::function<void(const Resolution&)>;
+    /// Fires exactly once per submitted packet; moved, never copied.
+    using ResolveCallback = sim::UniqueFunction<void(const Resolution&)>;
     using PacketInHandler = std::function<void(const PacketIn&)>;
     using Config = OvsSwitchConfig;
 
@@ -84,8 +86,8 @@ private:
     };
 
     void resolve_with_entry(const Packet& packet, const FlowEntry& entry,
-                            const ResolveCallback& done);
-    void resolve_original(const Packet& packet, const ResolveCallback& done);
+                            ResolveCallback& done);
+    void resolve_original(const Packet& packet, ResolveCallback& done);
 
     sim::Simulation& sim_;
     Topology& topo_;

@@ -5,17 +5,17 @@
 namespace tedge::net {
 
 void EndpointDirectory::bind(NodeId node, std::uint16_t port, Handler handler) {
-    handlers_[key(node, port)] = std::move(handler);
+    handlers_[key(node, port)] = std::make_shared<const Handler>(std::move(handler));
 }
 
 void EndpointDirectory::unbind(NodeId node, std::uint16_t port) {
     handlers_.erase(key(node, port));
 }
 
-const EndpointDirectory::Handler* EndpointDirectory::find(NodeId node,
-                                                          std::uint16_t port) const {
+EndpointDirectory::HandlerPtr EndpointDirectory::find(NodeId node,
+                                                      std::uint16_t port) const {
     const auto it = handlers_.find(key(node, port));
-    return it == handlers_.end() ? nullptr : &it->second;
+    return it == handlers_.end() ? nullptr : it->second;
 }
 
 TcpNet::TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
@@ -60,25 +60,34 @@ std::optional<PathInfo> TcpNet::path_via_ingress(NodeId client, NodeId ingress_n
     return combined;
 }
 
+void TcpNet::finish(Exchange& ex) {
+    if (!ex.result.ok) ++requests_failed_;
+    ex.result.time_total = sim_.now() - ex.started;
+    ex.done(ex.result);
+}
+
+void TcpNet::fail(Exchange& ex, const char* error) {
+    ex.result.error = error;
+    finish(ex);
+}
+
 void TcpNet::http_request(NodeId client, ServiceAddress target,
-                          sim::Bytes request_size,
-                          std::function<void(const HttpResult&)> done) {
+                          sim::Bytes request_size, DoneFn done) {
     ++requests_started_;
-    const sim::SimTime started = sim_.now();
-    OvsSwitch* resolved = resolve_ingress(client);
-    if (resolved == nullptr) {
-        HttpResult r;
-        r.error = "client not attached to any ingress (strict attachment)";
-        ++requests_failed_;
-        done(r);
+    auto ex = std::make_unique<Exchange>();
+    ex->client = client;
+    ex->started = sim_.now();
+    ex->request_size = request_size;
+    ex->done = std::move(done);
+    ex->ingress = resolve_ingress(client);
+    if (ex->ingress == nullptr) {
+        fail(*ex, "client not attached to any ingress (strict attachment)");
         return;
     }
-    OvsSwitch& ingress = *resolved;
 
-    Packet syn;
+    Packet& syn = ex->syn;
     syn.ingress = client;
-    const auto& client_info = topo_.node(client);
-    syn.src_ip = client_info.ip;
+    syn.src_ip = topo_.node(client).ip;
     syn.src_port = next_ephemeral_++;
     if (next_ephemeral_ == 0) next_ephemeral_ = 32768;
     syn.dst_ip = target.ip;
@@ -88,47 +97,35 @@ void TcpNet::http_request(NodeId client, ServiceAddress target,
     syn.syn = true;
 
     // Deliver the SYN into the ingress switch after the client->switch leg.
-    const auto to_switch = topo_.path(client, ingress.node());
+    const auto to_switch = topo_.path(client, ex->ingress->node());
     if (!to_switch) {
-        HttpResult r;
-        r.error = "client not connected to ingress switch";
-        ++requests_failed_;
-        done(r);
+        fail(*ex, "client not connected to ingress switch");
         return;
     }
     const sim::SimTime uplink = to_switch->delivery_time(syn.size);
-    sim_.schedule(uplink, [this, &ingress, client, started, syn, request_size,
-                           done = std::move(done)] {
-        ingress.submit(syn, [this, client, ingress_node = ingress.node(), started,
-                             request_size, done](const Resolution& r) {
-            run_exchange(client, ingress_node, started, r, request_size, done);
+    sim_.schedule(uplink, [this, ex = std::move(ex)]() mutable {
+        Exchange& x = *ex;
+        x.ingress->submit(x.syn, [this, ex = std::move(ex)](const Resolution& r) mutable {
+            run_exchange(std::move(ex), r);
         });
     });
 }
 
-void TcpNet::run_exchange(NodeId client, NodeId ingress_node, sim::SimTime started,
-                          const Resolution& r, sim::Bytes request_size,
-                          const std::function<void(const HttpResult&)>& done) {
-    HttpResult result;
-    result.served_by = r.effective_dst;
-
+void TcpNet::run_exchange(ExchangePtr ex, const Resolution& r) {
+    Exchange& x = *ex;
+    x.result.served_by = r.effective_dst;
     if (r.dropped) {
-        result.error = "packet dropped (no route to destination)";
-        ++requests_failed_;
-        result.time_total = sim_.now() - started;
-        done(result);
+        fail(x, "packet dropped (no route to destination)");
         return;
     }
-    result.server_node = r.dest_node;
+    x.result.server_node = r.dest_node;
 
-    const auto path = path_via_ingress(client, ingress_node, r.dest_node);
+    const auto path = path_via_ingress(x.client, x.ingress->node(), r.dest_node);
     if (!path) {
-        result.error = "no path from client to server";
-        ++requests_failed_;
-        result.time_total = sim_.now() - started;
-        done(result);
+        fail(x, "no path from client to server");
         return;
     }
+    x.path = *path;
 
     // The SYN already consumed roughly one forward latency getting here; the
     // remaining handshake is SYN-ACK back plus the client's ACK forward.
@@ -137,61 +134,53 @@ void TcpNet::run_exchange(NodeId client, NodeId ingress_node, sim::SimTime start
 
     if (!topo_.port_open(r.dest_node, r.effective_dst.port, r.effective_dst.proto)) {
         // RST comes back after the server-side one-way latency.
-        sim_.schedule(path->latency, [this, started, result, done]() mutable {
-            result.error = "connection refused";
-            ++requests_failed_;
-            result.time_total = sim_.now() - started;
-            done(result);
-        });
+        sim_.schedule(path->latency,
+                      [this, ex = std::move(ex)] { fail(*ex, "connection refused"); });
         return;
     }
 
-    const auto* handler = endpoints_.find(r.dest_node, r.effective_dst.port);
-    if (handler == nullptr) {
+    x.handler = endpoints_.find(r.dest_node, r.effective_dst.port);
+    if (!x.handler) {
         // Port open but nothing accepting HTTP (half-started instance):
         // treat as an unresponsive server -- the request hangs and we model
         // a client-side error after the handshake.
-        sim_.schedule(handshake_rest, [this, started, result, done]() mutable {
-            result.error = "no endpoint handler bound";
-            ++requests_failed_;
-            result.time_total = sim_.now() - started;
-            done(result);
+        sim_.schedule(handshake_rest, [this, ex = std::move(ex)] {
+            fail(*ex, "no endpoint handler bound");
         });
         return;
     }
 
-    const sim::SimTime request_leg = path->delivery_time(request_size);
-    const sim::SimTime pre_server = handshake_rest + request_leg;
-    auto handler_copy = *handler; // survive unbind while in flight
-    sim_.schedule(pre_server, [this, started, result, path = *path, handler_copy,
-                               request_size, done]() mutable {
-        result.connect_time = sim_.now() - started;
-        handler_copy(request_size, [this, started, result, path,
-                                    done](sim::Bytes response_size) mutable {
+    const sim::SimTime pre_server = handshake_rest + path->delivery_time(x.request_size);
+    sim_.schedule(pre_server, [this, ex = std::move(ex)]() mutable {
+        Exchange& x = *ex;
+        x.result.connect_time = sim_.now() - x.started;
+        // Held locally: the reply owns the exchange, and a handler that
+        // drops its reply must not free itself mid-call.
+        const EndpointDirectory::HandlerPtr handler = std::move(x.handler);
+        (*handler)(x.request_size, [this, ex = std::move(ex)](sim::Bytes response_size) mutable {
             const sim::SimTime response_leg =
-                path.delivery_time(response_size) + config_.per_request_overhead;
-            sim_.schedule(response_leg, [this, started, result, done]() mutable {
-                result.ok = true;
-                result.time_total = sim_.now() - started;
-                done(result);
+                ex->path.delivery_time(response_size) + config_.per_request_overhead;
+            sim_.schedule(response_leg, [this, ex = std::move(ex)] {
+                ex->result.ok = true;
+                finish(*ex);
             });
         });
     });
 }
 
-void TcpNet::probe(NodeId from, NodeId host, std::uint16_t port,
-                   std::function<void(bool open)> done) {
+void TcpNet::probe(NodeId from, NodeId host, std::uint16_t port, ProbeFn done) {
     const auto path = topo_.path(from, host);
     if (!path) {
-        sim_.schedule(sim::SimTime::zero(), [done = std::move(done)] { done(false); });
+        sim_.schedule(sim::SimTime::zero(),
+                      [done = std::move(done)]() mutable { done(false); });
         return;
     }
     // The answer (SYN-ACK or RST) reflects the port state at the moment the
     // SYN *arrives*, one one-way latency from now.
     sim_.schedule(path->latency, [this, host, port, latency = path->latency,
-                                  done = std::move(done)] {
+                                  done = std::move(done)]() mutable {
         const bool open = topo_.port_open(host, port, Proto::kTcp);
-        sim_.schedule(latency, [open, done] { done(open); });
+        sim_.schedule(latency, [open, done = std::move(done)]() mutable { done(open); });
     });
 }
 

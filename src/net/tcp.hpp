@@ -11,12 +11,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "net/ovs_switch.hpp"
 #include "net/topology.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/unique_function.hpp"
 #include "simcore/units.hpp"
 
 namespace tedge::net {
@@ -33,23 +35,30 @@ public:
 };
 
 /// An application endpoint bound to (node, port). The handler receives the
-/// request size and must invoke the reply function exactly once (after any
-/// simulated service time) with the response size.
+/// request size and the request's reply function, which it must invoke
+/// exactly once (after any simulated service time) with the response size.
+/// The reply function owns the in-flight request: move it, never copy it.
+///
+/// Handlers are shared: a request already routed to an endpoint keeps the
+/// handler alive through the refcount even if the endpoint is unbound before
+/// the request reaches it.
 class EndpointDirectory {
 public:
-    using ReplyFn = std::function<void(sim::Bytes response_size)>;
+    using ReplyFn = sim::UniqueFunction<void(sim::Bytes response_size)>;
     using Handler = std::function<void(sim::Bytes request_size, ReplyFn reply)>;
+    using HandlerPtr = std::shared_ptr<const Handler>;
 
     void bind(NodeId node, std::uint16_t port, Handler handler);
     void unbind(NodeId node, std::uint16_t port);
-    [[nodiscard]] const Handler* find(NodeId node, std::uint16_t port) const;
+    /// The bound handler, or nullptr.
+    [[nodiscard]] HandlerPtr find(NodeId node, std::uint16_t port) const;
     [[nodiscard]] std::size_t size() const { return handlers_.size(); }
 
 private:
     static std::uint64_t key(NodeId node, std::uint16_t port) {
         return (std::uint64_t{node.value} << 16) | port;
     }
-    std::unordered_map<std::uint64_t, Handler> handlers_;
+    std::unordered_map<std::uint64_t, HandlerPtr> handlers_;
 };
 
 struct HttpResult {
@@ -77,6 +86,8 @@ struct TcpNetConfig {
 class TcpNet {
 public:
     using Config = TcpNetConfig;
+    using DoneFn = sim::UniqueFunction<void(const HttpResult&)>;
+    using ProbeFn = sim::UniqueFunction<void(bool open)>;
 
     TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
            EndpointDirectory& endpoints, Config config = {});
@@ -100,14 +111,14 @@ public:
     /// Perform a full HTTP exchange from `client` to `target` (a registered
     /// cloud service address). The first packet traverses the client's
     /// ingress switch; the redirect (if any) is transparent to the caller.
+    /// `done` fires exactly once, whatever the outcome.
     void http_request(NodeId client, ServiceAddress target, sim::Bytes request_size,
-                      std::function<void(const HttpResult&)> done);
+                      DoneFn done);
 
     /// TCP port probe from `from` directly to `host` (no switch involved):
     /// a SYN and its answer. `open` reports whether the port accepted.
     /// Completion takes one RTT between the nodes.
-    void probe(NodeId from, NodeId host, std::uint16_t port,
-               std::function<void(bool open)> done);
+    void probe(NodeId from, NodeId host, std::uint16_t port, ProbeFn done);
 
     [[nodiscard]] sim::Simulation& simulation() { return sim_; }
     [[nodiscard]] Topology& topology() { return topo_; }
@@ -118,11 +129,30 @@ public:
     [[nodiscard]] std::uint64_t requests_failed() const { return requests_failed_; }
 
 private:
+    /// Everything one in-flight HTTP request needs, owned by exactly one
+    /// closure at a time: each stage's scheduled event or callback captures
+    /// `[this, std::unique_ptr<Exchange>]` (16 bytes, inside UniqueFunction's
+    /// inline buffer) and hands ownership on to the next stage.
+    struct Exchange {
+        NodeId client;
+        OvsSwitch* ingress = nullptr;
+        sim::SimTime started;
+        sim::Bytes request_size = 0;
+        Packet syn;
+        HttpResult result;
+        PathInfo path;
+        EndpointDirectory::HandlerPtr handler; ///< survives unbind in flight
+        DoneFn done;
+    };
+    using ExchangePtr = std::unique_ptr<Exchange>;
+
     /// Resolved ingress, or nullptr when unattached under strict_attachment.
     [[nodiscard]] OvsSwitch* resolve_ingress(NodeId client);
-    void run_exchange(NodeId client, NodeId ingress_node, sim::SimTime started,
-                      const Resolution& r, sim::Bytes request_size,
-                      const std::function<void(const HttpResult&)>& done);
+    void run_exchange(ExchangePtr ex, const Resolution& r);
+    /// Complete the exchange: failure accounting, time_total, `done`.
+    void finish(Exchange& ex);
+    /// Complete the exchange as failed with `error`.
+    void fail(Exchange& ex, const char* error);
     /// Concatenated client -> ingress -> dest path: the data path always
     /// traverses the client's current cell. Equal to the direct shortest
     /// path in single-ingress topologies (every route crosses the gNB

@@ -403,27 +403,32 @@ void K8sCluster::open_alias(const std::string& svc_name, net::NodeId node,
     if (alias.open) return;
     alias.open = true;
     topo_.open_port(node, expose_port);
+    // The service's round-robin cursor, shared by its aliases on every node.
+    // Map nodes are address-stable and cursors are never erased.
+    std::size_t* cursor = &rr_cursor_[svc_name];
     endpoints_.bind(node, expose_port,
-                    [this, svc_name, node](sim::Bytes request,
-                                           net::EndpointDirectory::ReplyFn reply) {
-        // DNAT to a ready endpoint on this node (round robin).
+                    [this, svc_name, node, cursor](sim::Bytes request,
+                                                   net::EndpointDirectory::ReplyFn reply) {
+        // DNAT to a ready endpoint on this node (round robin): count the
+        // node-local endpoints, then take the cursor-th of them.
         const auto* svc = api_.services().get(svc_name);
-        if (svc == nullptr || svc->endpoints.empty()) {
+        std::size_t local = 0;
+        if (svc != nullptr) {
+            for (const auto& ep : svc->endpoints) local += ep.node == node ? 1 : 0;
+        }
+        if (local == 0) {
             reply(0);
             return;
         }
-        std::vector<const EndpointEntry*> local;
+        std::size_t pick = (*cursor)++ % local;
+        const EndpointEntry* chosen = nullptr;
         for (const auto& ep : svc->endpoints) {
-            if (ep.node == node) local.push_back(&ep);
+            if (ep.node == node && pick-- == 0) {
+                chosen = &ep;
+                break;
+            }
         }
-        if (local.empty()) {
-            reply(0);
-            return;
-        }
-        auto& cursor = rr_cursor_[svc_name];
-        const auto* chosen = local[cursor % local.size()];
-        ++cursor;
-        const auto* handler = endpoints_.find(node, chosen->pod_port);
+        const auto handler = endpoints_.find(node, chosen->pod_port);
         if (handler == nullptr) {
             reply(0);
             return;

@@ -92,22 +92,10 @@ void WasmRuntime::invoke(Function& fn, sim::Bytes /*request*/,
                          net::EndpointDirectory::ReplyFn reply) {
     ++invocations_;
     fn.last_used = sim_.now();
-    const std::string name = fn.spec.name;
-
-    auto serve = [this, name](net::EndpointDirectory::ReplyFn reply,
-                              sim::SimTime extra_delay) {
-        auto& fn = functions_.at(name);
-        ++fn.busy;
-        const sim::SimTime service = fn.spec.app->sample_service(rng_);
-        sim_.schedule(extra_delay + costs_.invoke_overhead + service,
-                      [this, name, reply = std::move(reply)] {
-            finish_invocation(name, reply);
-        });
-    };
 
     if (fn.warm > 0) {
         --fn.warm;
-        serve(std::move(reply), sim::SimTime::zero());
+        serve(fn, std::move(reply), sim::SimTime::zero());
         return;
     }
     if (fn.warm + fn.busy < fn.spec.max_instances) {
@@ -115,19 +103,20 @@ void WasmRuntime::invoke(Function& fn, sim::Bytes /*request*/,
         ++cold_starts_;
         const sim::SimTime cold = sim::from_seconds(rng_.lognormal_median(
             costs_.cold_start_median.seconds(), costs_.cold_start_sigma));
-        serve(std::move(reply), cold);
+        serve(fn, std::move(reply), cold);
         return;
     }
     // At capacity: queue until an instance frees up.
-    fn.backlog.push_back([this, name, reply = std::move(reply)]() mutable {
-        auto& fn = functions_.at(name);
-        --fn.warm;
-        ++fn.busy;
-        const sim::SimTime service = fn.spec.app->sample_service(rng_);
-        sim_.schedule(costs_.invoke_overhead + service,
-                      [this, name, reply = std::move(reply)] {
-            finish_invocation(name, reply);
-        });
+    fn.backlog.push_back(std::move(reply));
+}
+
+void WasmRuntime::serve(Function& fn, net::EndpointDirectory::ReplyFn reply,
+                        sim::SimTime extra_delay) {
+    ++fn.busy;
+    const sim::SimTime service = fn.spec.app->sample_service(rng_);
+    sim_.schedule(extra_delay + costs_.invoke_overhead + service,
+                  [this, name = fn.spec.name, reply = std::move(reply)]() mutable {
+        finish_invocation(name, std::move(reply));
     });
 }
 
@@ -140,7 +129,8 @@ void WasmRuntime::finish_invocation(const std::string& name,
     if (!fn.backlog.empty()) {
         auto next = std::move(fn.backlog.front());
         fn.backlog.pop_front();
-        next();
+        --fn.warm;
+        serve(fn, std::move(next), sim::SimTime::zero());
     }
 }
 

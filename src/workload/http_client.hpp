@@ -3,8 +3,7 @@
 // connection until the full response arrives). Feeds a MetricsCollector.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <string_view>
 
 #include "net/tcp.hpp"
 #include "workload/metrics.hpp"
@@ -16,12 +15,12 @@ public:
     HttpClient(net::TcpNet& net, MetricsCollector& metrics);
 
     /// GET/POST `request_size` bytes from `client` to the registered
-    /// address; the record lands in the collector under `tag` and is also
-    /// added to the collector's series(tag) in milliseconds.
+    /// address; the record lands in the collector under `tag` (interned) and
+    /// a successful request's time_total is also added to the collector's
+    /// series(tag) in milliseconds. `done`, if set, fires once afterwards.
     void request(net::NodeId client_node, std::uint32_t client_index,
                  const net::ServiceAddress& address, sim::Bytes request_size,
-                 const std::string& tag,
-                 std::function<void(const net::HttpResult&)> done = {});
+                 std::string_view tag, net::TcpNet::DoneFn done = {});
 
     [[nodiscard]] std::uint64_t inflight() const { return inflight_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
 namespace tedge::workload {
 
@@ -11,21 +12,27 @@ void MetricsCollector::add(RequestRecord record) {
     records_.push_back(std::move(record));
 }
 
-sim::SampleSet& MetricsCollector::series(std::string_view tag) {
-    const auto it = series_.find(tag);
-    if (it != series_.end()) return it->second;
-    return series_.emplace(std::string(tag), sim::SampleSet{}).first->second;
+sim::SampleSet& MetricsCollector::series(sim::SymbolId tag) {
+    if (tag >= series_.size()) {
+        if (tag >= symbols_.size()) throw std::out_of_range("series: unknown tag id");
+        series_.resize(symbols_.size());
+    }
+    auto& slot = series_[tag];
+    if (!slot) slot = std::make_unique<sim::SampleSet>();
+    return *slot;
 }
 
 const sim::SampleSet* MetricsCollector::find_series(std::string_view tag) const {
-    const auto it = series_.find(tag);
-    return it == series_.end() ? nullptr : &it->second;
+    const auto id = symbols_.find(tag);
+    if (!id || *id >= series_.size()) return nullptr;
+    return series_[*id].get();
 }
 
 std::vector<std::string> MetricsCollector::tags() const {
     std::vector<std::string> out;
-    out.reserve(series_.size());
-    for (const auto& [tag, set] : series_) out.push_back(tag);
+    for (sim::SymbolId id = 0; id < series_.size(); ++id) {
+        if (series_[id]) out.push_back(symbols_.name(id));
+    }
     std::sort(out.begin(), out.end());
     return out;
 }

@@ -7,9 +7,9 @@
 // print.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/tcp.hpp"
@@ -19,7 +19,7 @@
 namespace tedge::workload {
 
 struct RequestRecord {
-    std::string service;     ///< service key or name
+    sim::SymbolId service = sim::kInvalidSymbol; ///< interned tag, see tag_name()
     std::uint32_t client = 0;
     sim::SimTime sent;
     bool ok = false;
@@ -35,22 +35,32 @@ public:
     [[nodiscard]] std::size_t count() const { return records_.size(); }
     [[nodiscard]] std::size_t failures() const { return failures_; }
 
-    /// Per-tag sample series (milliseconds), keyed by caller-defined tags.
-    /// Heterogeneous lookup: a string_view tag only allocates when the tag
-    /// is seen for the first time.
-    sim::SampleSet& series(std::string_view tag);
+    /// The id of caller-defined `tag`, interning it on first sight. Ids stay
+    /// valid for the collector's lifetime, across clear(). Interning alone
+    /// creates no series.
+    sim::SymbolId intern(std::string_view tag) { return symbols_.intern(tag); }
+    /// The spelling of an interned tag (e.g. a RequestRecord::service).
+    [[nodiscard]] const std::string& tag_name(sim::SymbolId id) const {
+        return symbols_.name(id);
+    }
+
+    /// Per-tag sample series (milliseconds), created on first use.
+    sim::SampleSet& series(std::string_view tag) { return series(intern(tag)); }
+    sim::SampleSet& series(sim::SymbolId tag);
+    /// The series of `tag`, or nullptr if none was ever created.
     [[nodiscard]] const sim::SampleSet* find_series(std::string_view tag) const;
-    /// Tag list in sorted order (the storage is unordered; callers render
-    /// tables from this, which must stay deterministic).
+    /// Tags that have a series, in sorted order (callers render tables from
+    /// this, which must stay deterministic).
     [[nodiscard]] std::vector<std::string> tags() const;
 
+    /// Drop records and series; interned ids stay valid.
     void clear();
 
 private:
     std::vector<RequestRecord> records_;
-    std::unordered_map<std::string, sim::SampleSet, sim::StringHash,
-                       std::equal_to<>>
-        series_;
+    sim::SymbolTable symbols_;
+    /// Indexed by tag id; null until the tag's series is first used.
+    std::vector<std::unique_ptr<sim::SampleSet>> series_;
     std::size_t failures_ = 0;
 };
 

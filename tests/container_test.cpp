@@ -432,7 +432,7 @@ TEST_F(RuntimeFixture, RequestsQueueBeyondConcurrencyLimit) {
     runtime->start(id, 8080, [] {});
     simulation.run();
 
-    const auto* handler = endpoints.find(node, 8080);
+    const auto handler = endpoints.find(node, 8080);
     ASSERT_NE(handler, nullptr);
     // Issue 4 requests at once against concurrency 2: completions come in
     // two waves of the ~1 ms service time.

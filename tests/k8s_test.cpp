@@ -178,7 +178,7 @@ TEST_F(K8sFixture, ServicePortForwardsToPod) {
     scale_up_and_wait_ready();
     const auto instances = cluster->ready_instances("svc");
     ASSERT_EQ(instances.size(), 1u);
-    const auto* handler = endpoints.find(node, instances[0].port);
+    const auto handler = endpoints.find(node, instances[0].port);
     ASSERT_NE(handler, nullptr);
     bool replied = false;
     (*handler)(100, [&](sim::Bytes size) {

@@ -49,7 +49,7 @@ TEST_P(BurstSweep, ColdStartsBoundedByBurstWidth) {
     simulation.run();
     ASSERT_TRUE(deployed);
 
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
     int completed = 0;
     for (int i = 0; i < burst; ++i) {
         (*handler)(64, [&](sim::Bytes) { ++completed; });
@@ -77,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, BurstSweep, ::testing::Values(1, 2, 4, 8, 16));
 TEST_F(RuntimeSweepFixture, SequentialRequestsUseOneInstance) {
     runtime->deploy(function("fn"), 9000, [] {});
     simulation.run();
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
     for (int i = 0; i < 10; ++i) {
         bool done = false;
         (*handler)(64, [&](sim::Bytes) { done = true; });
@@ -91,7 +91,7 @@ TEST_F(RuntimeSweepFixture, SequentialRequestsUseOneInstance) {
 TEST_F(RuntimeSweepFixture, CapSerializesExcessLoad) {
     runtime->deploy(function("fn", /*max_instances=*/2), 9000, [] {});
     simulation.run();
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
     std::vector<sim::SimTime> completions;
     for (int i = 0; i < 6; ++i) {
         (*handler)(64, [&](sim::Bytes) { completions.push_back(simulation.now()); });
@@ -107,8 +107,8 @@ TEST_F(RuntimeSweepFixture, TwoFunctionsAreIsolated) {
     runtime->deploy(function("a"), 9000, [] {});
     runtime->deploy(function("b"), 9001, [] {});
     simulation.run();
-    const auto* ha = endpoints.find(node, 9000);
-    const auto* hb = endpoints.find(node, 9001);
+    const auto ha = endpoints.find(node, 9000);
+    const auto hb = endpoints.find(node, 9001);
     int done = 0;
     (*ha)(64, [&](sim::Bytes) { ++done; });
     (*hb)(64, [&](sim::Bytes) { ++done; });

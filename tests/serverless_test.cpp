@@ -81,7 +81,7 @@ TEST_F(FaasFixture, CreateBindsGatewayAndIsReadyScaleFromZero) {
 TEST_F(FaasFixture, FirstInvocationPaysMillisecondColdStart) {
     pull_and_create();
     const auto port = cluster->instances("fn")[0].port;
-    const auto* handler = endpoints.find(node, port);
+    const auto handler = endpoints.find(node, port);
     ASSERT_NE(handler, nullptr);
 
     const sim::SimTime t0 = simulation.now();
@@ -170,7 +170,7 @@ TEST_F(FaasFixture, BacklogQueuesBeyondInstanceCap) {
     simulation.run();
     ASSERT_TRUE(deployed);
 
-    const auto* handler = endpoints.find(node, 9500);
+    const auto handler = endpoints.find(node, 9500);
     std::vector<sim::SimTime> completions;
     for (int i = 0; i < 3; ++i) {
         (*handler)(10, [&](sim::Bytes) { completions.push_back(simulation.now()); });

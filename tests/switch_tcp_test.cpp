@@ -141,7 +141,8 @@ TEST_F(SwitchFixture, BufferOverflowDrops) {
 TEST_F(SwitchFixture, HttpRequestToOpenEndpointSucceeds) {
     topo.open_port(server, 8080);
     endpoints.bind(server, 8080, [&](sim::Bytes, EndpointDirectory::ReplyFn reply) {
-        simulation.schedule(microseconds(200), [reply] { reply(512); });
+        simulation.schedule(microseconds(200),
+                            [reply = std::move(reply)]() mutable { reply(512); });
     });
     FlowEntry entry;
     entry.match.dst_ip = Ipv4{203, 0, 113, 1};
@@ -213,6 +214,90 @@ TEST_F(SwitchFixture, ProbeSeesPortStateAtSynArrival) {
     net->probe(client, server, 9100, [&](bool o) { open = o; });
     simulation.run();
     EXPECT_TRUE(open);
+}
+
+// The done callback is move-only and owns its captures: whatever the
+// outcome, it fires exactly once and is destroyed afterwards (no leaked or
+// duplicated exchange).
+TEST_F(SwitchFixture, MoveOnlyDoneFiresExactlyOncePerOutcome) {
+    struct Token {
+        explicit Token(int* counter) : destroyed(counter) {}
+        Token(const Token&) = delete;
+        Token& operator=(const Token&) = delete;
+        ~Token() { ++*destroyed; }
+        int* destroyed;
+    };
+    const NodeId island = topo.add_host("island", Ipv4{10, 0, 9, 9});
+    topo.open_port(server, 8080);
+    endpoints.bind(server, 8080, [&](sim::Bytes, EndpointDirectory::ReplyFn reply) {
+        simulation.schedule(microseconds(200),
+                            [reply = std::move(reply)]() mutable { reply(512); });
+    });
+    topo.open_port(server, 8081); // open, but nothing accepts HTTP
+
+    struct Case {
+        ServiceAddress target;
+        const char* error; ///< "" for success
+    };
+    const Case cases[] = {
+        {{topo.node(server).ip, 8080}, ""},
+        {{Ipv4{99, 99, 99, 99}, 80}, "packet dropped (no route to destination)"},
+        {{topo.node(island).ip, 80}, "no path from client to server"},
+        {{topo.node(server).ip, 9999}, "connection refused"},
+        {{topo.node(server).ip, 8081}, "no endpoint handler bound"},
+    };
+    for (const auto& c : cases) {
+        int calls = 0;
+        int destroyed = 0;
+        std::string error = "unset";
+        net->http_request(client, c.target, 100,
+                          [&calls, &error, token = std::make_unique<Token>(
+                                               &destroyed)](const HttpResult& r) {
+                              ++calls;
+                              error = r.error;
+                              EXPECT_EQ(r.ok, r.error.empty());
+                          });
+        simulation.run();
+        EXPECT_EQ(calls, 1) << c.error;
+        EXPECT_EQ(error, c.error);
+        EXPECT_EQ(destroyed, 1) << c.error;
+    }
+    EXPECT_EQ(net->requests_started(), 5u);
+    EXPECT_EQ(net->requests_failed(), 4u);
+}
+
+// A request routed to an endpoint keeps that endpoint's handler alive: an
+// unbind while the request is still on the wire must not strand it.
+TEST_F(SwitchFixture, HandlerUnboundInFlightStillReplies) {
+    topo.open_port(server, 8080);
+    auto state = std::make_shared<int>(0);
+    const std::weak_ptr<int> handler_alive = state;
+    bool unbound_before_serving = false;
+    endpoints.bind(server, 8080, [&, state](sim::Bytes,
+                                            EndpointDirectory::ReplyFn reply) {
+        ++*state;
+        unbound_before_serving = endpoints.find(server, 8080) == nullptr;
+        simulation.schedule(microseconds(200),
+                            [reply = std::move(reply)]() mutable { reply(512); });
+    });
+    state.reset(); // the directory's handler now holds the only reference
+
+    HttpResult result;
+    net->http_request(client, ServiceAddress{topo.node(server).ip, 8080}, 100,
+                      [&](const HttpResult& r) { result = r; });
+    // The SYN resolves at ~110us and the request reaches the server at
+    // ~710us; unbind in between.
+    bool held_in_flight = false;
+    simulation.schedule(microseconds(300), [&] {
+        endpoints.unbind(server, 8080);
+        held_in_flight = !handler_alive.expired();
+    });
+    simulation.run();
+    EXPECT_TRUE(held_in_flight);
+    EXPECT_TRUE(unbound_before_serving);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.server_node, server);
+    EXPECT_TRUE(handler_alive.expired()); // released once the request is done
 }
 
 TEST(EndpointDirectory, BindFindUnbind) {

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "net/ovs_switch.hpp"
+#include "net/tcp.hpp"
 #include "workload/bigflows.hpp"
+#include "workload/http_client.hpp"
 #include "workload/metrics.hpp"
 #include "workload/stream.hpp"
 #include "workload/trace.hpp"
@@ -211,14 +217,14 @@ TEST(RequestStream, PoissonStreamCoversAllServices) {
 TEST(MetricsCollector, RecordsAndSeries) {
     MetricsCollector metrics;
     RequestRecord ok_record;
-    ok_record.service = "svc0";
+    ok_record.service = metrics.intern("svc0");
     ok_record.ok = true;
     ok_record.time_total = sim::milliseconds(10);
     metrics.add(ok_record);
     metrics.series("svc0").add_time(ok_record.time_total);
 
     RequestRecord failed;
-    failed.service = "svc0";
+    failed.service = metrics.intern("svc0");
     failed.ok = false;
     metrics.add(failed);
 
@@ -230,6 +236,81 @@ TEST(MetricsCollector, RecordsAndSeries) {
     EXPECT_EQ(metrics.tags().size(), 1u);
     metrics.clear();
     EXPECT_EQ(metrics.count(), 0u);
+}
+
+// HttpClient interns each request's tag into its collector. A client and a
+// server behind a controller-less switch: "warm" requests succeed, requests
+// to an unroutable address ("dead") fail.
+struct InternedTagsFixture : ::testing::Test {
+    void SetUp() override {
+        client_node = topo.add_host("client", net::Ipv4{10, 0, 1, 1});
+        server = topo.add_host("server", net::Ipv4{10, 0, 0, 2});
+        const auto sw = topo.add_switch("sw");
+        topo.add_link(client_node, sw, sim::microseconds(100), sim::gbit_per_sec(1));
+        topo.add_link(server, sw, sim::microseconds(100), sim::gbit_per_sec(1));
+        topo.open_port(server, 80);
+        endpoints.bind(server, 80, [](sim::Bytes, net::EndpointDirectory::ReplyFn reply) {
+            reply(256);
+        });
+        ovs = std::make_unique<net::OvsSwitch>(simulation, topo, sw);
+        tcp = std::make_unique<net::TcpNet>(simulation, topo, *ovs, endpoints);
+        client = std::make_unique<HttpClient>(*tcp, metrics);
+    }
+
+    void request(std::string_view tag, net::Ipv4 ip) {
+        client->request(client_node, 0, net::ServiceAddress{ip, 80}, 100, tag);
+    }
+    net::Ipv4 server_ip() const { return topo.node(server).ip; }
+
+    sim::Simulation simulation;
+    net::Topology topo;
+    net::EndpointDirectory endpoints;
+    net::NodeId client_node, server;
+    std::unique_ptr<net::OvsSwitch> ovs;
+    std::unique_ptr<net::TcpNet> tcp;
+    MetricsCollector metrics;
+    std::unique_ptr<HttpClient> client;
+};
+
+TEST_F(InternedTagsFixture, AllFailedTagHasNoSeries) {
+    request("dead", net::Ipv4{99, 99, 99, 99});
+    request("dead", net::Ipv4{99, 99, 99, 99});
+    request("warm", server_ip());
+    simulation.run();
+    ASSERT_EQ(metrics.count(), 3u);
+    EXPECT_EQ(metrics.failures(), 2u);
+    EXPECT_EQ(metrics.find_series("dead"), nullptr);
+    ASSERT_NE(metrics.find_series("warm"), nullptr);
+    EXPECT_EQ(metrics.find_series("warm")->count(), 1u);
+    EXPECT_EQ(metrics.tags(), std::vector<std::string>{"warm"});
+}
+
+TEST_F(InternedTagsFixture, RecordTagRoundTrips) {
+    request("svc7", server_ip());
+    request("svc3", net::Ipv4{99, 99, 99, 99});
+    simulation.run();
+    std::vector<std::string> names;
+    for (const auto& record : metrics.records()) {
+        names.push_back(metrics.tag_name(record.service));
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"svc3", "svc7"}));
+    EXPECT_EQ(metrics.intern("svc7"), metrics.intern("svc7"));
+    EXPECT_NE(metrics.intern("svc7"), metrics.intern("svc3"));
+}
+
+TEST_F(InternedTagsFixture, ClearKeepsIdsOfInflightRequests) {
+    request("warm", server_ip());
+    const sim::SymbolId id = metrics.intern("warm");
+    metrics.clear(); // the request is still in flight and holds `id`
+    EXPECT_EQ(metrics.intern("warm"), id);
+    EXPECT_TRUE(metrics.tags().empty());
+    simulation.run();
+    ASSERT_EQ(metrics.count(), 1u);
+    EXPECT_EQ(metrics.records()[0].service, id);
+    EXPECT_EQ(metrics.tag_name(id), "warm");
+    ASSERT_NE(metrics.find_series("warm"), nullptr);
+    EXPECT_EQ(metrics.tags(), std::vector<std::string>{"warm"});
 }
 
 TEST(TextTable, AlignsColumns) {
