@@ -22,10 +22,8 @@
 // runs the sharded control plane -- N edge domains each owning a FlowMemory
 // partition and its own Poisson pump, plus a central controller domain
 // receiving periodic digests over the conservative lookahead link -- under
-// ShardedSimulation. Shard counts > 1 sweep on the wheel backend only (the
-// heap rows exist to compare queue backends, not kernels). JSON points carry
-// a "shards" field; baselines written before the field existed parse as
-// shards=1.
+// ShardedSimulation. JSON points carry a "shards" field; baselines written
+// before the field existed parse as shards=1.
 //
 // The sweep has a fidelity dimension (--fidelity, default "both"): exact
 // rows drive every flow through the per-packet path as before; hybrid rows
@@ -58,8 +56,6 @@
 // grain dimension existed parse as grain=0.
 //
 // Flags: --quick (skip the 1M row: CI),
-//        --backend heap|wheel|both (event-queue backend to sweep; default
-//        wheel, `both` additionally prints a heap-vs-wheel table),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
 //        --sync channel|barrier|both (coordinator for sharded rows;
@@ -182,16 +178,11 @@ std::optional<R> run_forked(const std::function<R()>& fn) {
 struct SweepPoint {
     std::size_t flows = 0;
     std::uint32_t services = 0;
-    sim::QueueBackend backend = sim::QueueBackend::kWheel;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
     sim::SyncMode sync = sim::SyncMode::kChannel;  ///< sharded points only
     double grain = 0.25;  ///< horizon grain fraction (lock-free channel only)
 };
-
-const char* backend_str(sim::QueueBackend backend) {
-    return backend == sim::QueueBackend::kHeap ? "heap" : "wheel";
-}
 
 /// Label recorded in JSON and used as the baseline key. Serial points carry
 /// "barrier": they never run a coordinator, and baselines written before the
@@ -261,7 +252,7 @@ void record_cascade(const sim::Simulation& sim, PointResult& result) {
 PointResult run_point_once(const SweepPoint& point) {
     PointResult result;
 
-    sim::Simulation sim(point.backend);
+    sim::Simulation sim;
     // The pump keeps at most one arrival pending and the expiry path adds one
     // daemon event per occupied deadline bucket, so a modest slab reserve is
     // enough to skip the early growth stalls without inflating the peak-RSS
@@ -409,7 +400,7 @@ PointResult run_point_once(const SweepPoint& point) {
 PointResult run_point_hybrid_once(const SweepPoint& point) {
     PointResult result;
 
-    sim::Simulation sim(point.backend);
+    sim::Simulation sim;
     sim.reserve_events(4096);
     sdn::FlowMemory::Config config;
     config.idle_timeout = kIdleTimeout;
@@ -550,7 +541,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
 
     sim::ShardedSimulation::Options kernel;
     kernel.seed = 42;
-    kernel.backend = point.backend;
     kernel.lookahead = kAccessLatency;
     kernel.sync = point.sync;
     kernel.horizon_grain = point.grain;
@@ -756,8 +746,7 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
     std::ostringstream out;
     out << "    {\"flows\": " << point.flows
         << ", \"services\": " << point.services
-        << ", \"backend\": \"" << backend_str(point.backend)
-        << "\", \"shards\": " << point.shards
+        << ", \"shards\": " << point.shards
         << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
         << "\", \"sync_mode\": \"" << sync_str(point)
         << "\", \"grain\": " << grain_label(point)
@@ -819,17 +808,17 @@ std::optional<std::string> extract_string(const std::string& line,
     return line.substr(start, end - start);
 }
 
-using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::string,
-                               std::size_t, std::string, std::string, double>;
+using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::size_t,
+                               std::string, std::string, double>;
 
-/// events/s per (flows, services, backend, shards, fidelity, sync, grain)
-/// point parsed from a BENCH_scale.json. Points written before the backend
-/// dimension existed carry no "backend" field; those were measured on the
-/// binary heap, so they gate the heap rows of a newer run. Points written
-/// before the shard / fidelity dimensions existed parse as shards=1 / exact,
-/// points written before the sync dimension existed were all measured on
-/// the barrier coordinator, so they parse as sync_mode=barrier, and points
-/// written before the grain dimension existed parse as grain=0.
+/// events/s per (flows, services, shards, fidelity, sync, grain) point parsed
+/// from a BENCH_scale.json. Older baselines tag each point with the event
+/// queue it ran on; points measured on the retired heap queue are skipped.
+/// Points written before the shard / fidelity dimensions existed parse as
+/// shards=1 / exact, points written before the sync dimension existed were
+/// all measured on the barrier coordinator, so they parse as
+/// sync_mode=barrier, and points written before the grain dimension existed
+/// parse as grain=0.
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
@@ -843,10 +832,10 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
         const auto fidelity = extract_string(line, "fidelity");
         const auto sync = extract_string(line, "sync_mode");
         const auto grain = extract_number(line, "grain");
+        if (backend && *backend != "wheel") continue;
         if (flows && services && events) {
             baseline[{static_cast<std::size_t>(*flows),
                       static_cast<std::uint32_t>(*services),
-                      backend.value_or("heap"),
                       static_cast<std::size_t>(shards.value_or(1)),
                       fidelity.value_or("exact"),
                       sync.value_or("barrier"),
@@ -900,7 +889,6 @@ int main(int argc, char** argv) {
     bool quick = false;
     std::string out_path = "BENCH_scale.json";
     std::string baseline_path;
-    std::string backend_arg = "wheel";
     std::string shards_arg = "1,2,8";
     std::string fidelity_arg = "both";
     std::string sync_arg = "channel";
@@ -913,8 +901,6 @@ int main(int argc, char** argv) {
             out_path = argv[++i];
         } else if (arg == "--baseline" && i + 1 < argc) {
             baseline_path = argv[++i];
-        } else if (arg == "--backend" && i + 1 < argc) {
-            backend_arg = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
             shards_arg = argv[++i];
         } else if (arg == "--fidelity" && i + 1 < argc) {
@@ -924,8 +910,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--grain" && i + 1 < argc) {
             grain_arg = argv[++i];
         } else {
-            std::cerr << "usage: bench_scale [--quick] "
-                         "[--backend heap|wheel|both] [--shards <csv>] "
+            std::cerr << "usage: bench_scale [--quick] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
                          "[--sync channel|barrier|both] "
                          "[--grain <csv>] "
@@ -937,18 +922,6 @@ int main(int argc, char** argv) {
     if (!shard_counts) {
         std::cerr << "bad --shards '" << shards_arg
                   << "' (expected comma-separated positive integers)\n";
-        return 2;
-    }
-    std::vector<sim::QueueBackend> backends;
-    if (backend_arg == "heap") {
-        backends = {sim::QueueBackend::kHeap};
-    } else if (backend_arg == "wheel") {
-        backends = {sim::QueueBackend::kWheel};
-    } else if (backend_arg == "both") {
-        backends = {sim::QueueBackend::kHeap, sim::QueueBackend::kWheel};
-    } else {
-        std::cerr << "unknown --backend '" << backend_arg
-                  << "' (expected heap, wheel, or both)\n";
         return 2;
     }
     std::vector<sdn::Fidelity> fidelities;
@@ -992,88 +965,78 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "backend", "shards", "sync",
-                               "grain", "flows", "services", "events/s",
-                               "install p50", "install p99", "lookup ns",
-                               "idle ns", "peak RSS MB"});
+    workload::TextTable table({"fidelity", "shards", "sync", "grain", "flows",
+                               "services", "events/s", "install p50",
+                               "install p99", "lookup ns", "idle ns",
+                               "peak RSS MB"});
     for (const auto fidelity : fidelities) {
-        for (const auto backend : backends) {
-            for (const auto shards : *shard_counts) {
-                // The heap rows exist to compare queue backends on the serial
-                // kernel; sharded points sweep the production wheel only. The
-                // hybrid fast path is a serial-kernel feature.
-                if (shards > 1 && (backend != sim::QueueBackend::kWheel ||
-                                   fidelity == sdn::Fidelity::kHybrid)) {
+        for (const auto shards : *shard_counts) {
+            // The hybrid fast path is a serial-kernel feature.
+            if (shards > 1 && fidelity == sdn::Fidelity::kHybrid) continue;
+            std::vector<std::size_t> flow_counts = base_flow_counts;
+            if (fidelity == sdn::Fidelity::kHybrid && shards == 1 && !quick) {
+                // The fluid rows the exact path cannot reach.
+                flow_counts.push_back(10'000'000);
+                flow_counts.push_back(100'000'000);
+            }
+            for (const auto sync : syncs) {
+                // The sync dimension only exists for sharded points; a
+                // serial point runs once no matter how many modes sweep.
+                if (shards == 1 && sync != syncs.front()) continue;
+            for (const auto grain : *grain_values) {
+                // Only the channel coordinator reads the grain; serial
+                // and barrier rows run once no matter how many sweep.
+                if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
+                    grain != grain_values->front()) {
                     continue;
                 }
-                std::vector<std::size_t> flow_counts = base_flow_counts;
-                if (fidelity == sdn::Fidelity::kHybrid && shards == 1 && !quick) {
-                    // The fluid rows the exact path cannot reach.
-                    flow_counts.push_back(10'000'000);
-                    flow_counts.push_back(100'000'000);
-                }
-                for (const auto sync : syncs) {
-                    // The sync dimension only exists for sharded points; a
-                    // serial point runs once no matter how many modes sweep.
-                    if (shards == 1 && sync != syncs.front()) continue;
-                for (const auto grain : *grain_values) {
-                    // Only the channel coordinator reads the grain; serial
-                    // and barrier rows run once no matter how many sweep.
-                    if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
-                        grain != grain_values->front()) {
-                        continue;
+            for (const auto flows : flow_counts) {
+                for (const auto services : service_counts) {
+                    const SweepPoint point{flows, services, shards,
+                                           fidelity, sync, grain};
+                    const auto result = run_forked<PointResult>(
+                        [point] { return run_point(point); });
+                    if (!result) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") failed (child died)\n";
+                        return 1;
                     }
-                for (const auto flows : flow_counts) {
-                    for (const auto services : service_counts) {
-                        const SweepPoint point{flows, services, backend, shards,
-                                               fidelity, sync, grain};
-                        const auto result = run_forked<PointResult>(
-                            [point] { return run_point(point); });
-                        if (!result) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (" << backend_str(backend)
-                                      << ", shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") failed (child died)\n";
-                            return 1;
-                        }
-                        if (result->peak_live_flows != flows ||
-                            result->idle_notifications == 0) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (" << backend_str(backend)
-                                      << ", shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") invalid: live="
-                                      << result->peak_live_flows
-                                      << " idle_notifications="
-                                      << result->idle_notifications << "\n";
-                            return 1;
-                        }
-                        results.emplace_back(point, *result);
-                        table.add_row(
-                            {sdn::to_string(fidelity), backend_str(backend),
-                             std::to_string(shards),
-                             shards > 1 ? sync_str(point) : "-",
-                             shards > 1 && sync == sim::SyncMode::kChannel
-                                 ? workload::TextTable::num(grain, 2)
-                                 : "-",
-                             std::to_string(flows), std::to_string(services),
-                             workload::TextTable::num(result->events_per_s, 0),
-                             workload::TextTable::num(result->install_p50_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->install_p99_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->lookup_ns, 0),
-                             workload::TextTable::num(result->idle_check_ns, 0),
-                             workload::TextTable::num(
-                                 static_cast<double>(result->rss_kb) / 1024.0,
-                                 1)});
+                    if (result->peak_live_flows != flows ||
+                        result->idle_notifications == 0) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") invalid: live="
+                                  << result->peak_live_flows
+                                  << " idle_notifications="
+                                  << result->idle_notifications << "\n";
+                        return 1;
                     }
+                    results.emplace_back(point, *result);
+                    table.add_row(
+                        {sdn::to_string(fidelity), std::to_string(shards),
+                         shards > 1 ? sync_str(point) : "-",
+                         shards > 1 && sync == sim::SyncMode::kChannel
+                             ? workload::TextTable::num(grain, 2)
+                             : "-",
+                         std::to_string(flows), std::to_string(services),
+                         workload::TextTable::num(result->events_per_s, 0),
+                         workload::TextTable::num(result->install_p50_ns,
+                                                  0) +
+                             " ns",
+                         workload::TextTable::num(result->install_p99_ns,
+                                                  0) +
+                             " ns",
+                         workload::TextTable::num(result->lookup_ns, 0),
+                         workload::TextTable::num(result->idle_check_ns, 0),
+                         workload::TextTable::num(
+                             static_cast<double>(result->rss_kb) / 1024.0,
+                             1)});
                 }
-                }
-                }
+            }
+            }
             }
         }
     }
@@ -1081,9 +1044,9 @@ int main(int argc, char** argv) {
 
     // Hybrid vs exact at shared points: flows per wall-clock second in both
     // modes, so the ratio is the control-plane speedup the fluid fast path
-    // buys. The 1M x 8 wheel point carries a hard >= 10x acceptance gate.
+    // buys. The 1M x 8 point carries a hard >= 10x acceptance gate.
     if (fidelities.size() == 2) {
-        workload::TextTable speedup({"backend", "flows", "services",
+        workload::TextTable speedup({"flows", "services",
                                      "exact ev/s", "hybrid ev/s", "speedup",
                                      "kernel events"});
         bool gate_failed = false;
@@ -1094,28 +1057,25 @@ int main(int argc, char** argv) {
             double exact_events = 0;
             for (const auto& [p, r] : results) {
                 if (p.fidelity == sdn::Fidelity::kExact && p.shards == 1 &&
-                    p.backend == point.backend && p.flows == point.flows &&
-                    p.services == point.services) {
+                    p.flows == point.flows && p.services == point.services) {
                     exact_events = r.events_per_s;
                 }
             }
             if (exact_events <= 0) continue;
             const double ratio = result.events_per_s / exact_events;
             speedup.add_row(
-                {backend_str(point.backend), std::to_string(point.flows),
-                 std::to_string(point.services),
+                {std::to_string(point.flows), std::to_string(point.services),
                  workload::TextTable::num(exact_events, 0),
                  workload::TextTable::num(result.events_per_s, 0),
                  workload::TextTable::num(ratio, 1) + "x",
                  std::to_string(result.kernel_events)});
-            if (point.flows == 1'000'000 && point.services == 8 &&
-                point.backend == sim::QueueBackend::kWheel && ratio < 10.0) {
+            if (point.flows == 1'000'000 && point.services == 8 && ratio < 10.0) {
                 gate_failed = true;
             }
         }
         std::cout << "hybrid vs exact, fill flows/s:\n" << speedup.str() << "\n";
         if (gate_failed) {
-            std::cerr << "HYBRID GATE: < 10x exact at the 1M x 8 wheel point\n";
+            std::cerr << "HYBRID GATE: < 10x exact at the 1M x 8 point\n";
             return 1;
         }
     }
@@ -1134,7 +1094,6 @@ int main(int argc, char** argv) {
                                      "max burst"});
         bool bound_violated = false;
         for (const auto& [point, result] : results) {
-            if (point.backend != sim::QueueBackend::kWheel) continue;
             if (result.events_scheduled == 0) continue;
             const double per_event =
                 static_cast<double>(result.cascade_refiled) /
@@ -1159,7 +1118,7 @@ int main(int argc, char** argv) {
     }
 
     // Shard-scaling view: events/s vs the serial kernel at the same point
-    // (wheel rows only; the serial wheel row is the committed baseline).
+    // (the serial row is the committed baseline).
     if (shard_counts->size() > 1) {
         workload::TextTable scaling({"flows", "services", "shards", "sync",
                                      "grain", "cores", "events/s", "vs serial",
@@ -1170,8 +1129,7 @@ int main(int argc, char** argv) {
             for (const auto services : service_counts) {
                 double serial_events = 0;
                 for (const auto& [point, result] : results) {
-                    if (point.backend == sim::QueueBackend::kWheel &&
-                        point.fidelity == sdn::Fidelity::kExact &&
+                    if (point.fidelity == sdn::Fidelity::kExact &&
                         point.shards == 1 && point.flows == flows &&
                         point.services == services) {
                         serial_events = result.events_per_s;
@@ -1179,8 +1137,7 @@ int main(int argc, char** argv) {
                 }
                 if (serial_events <= 0) continue;
                 for (const auto& [point, result] : results) {
-                    if (point.backend != sim::QueueBackend::kWheel ||
-                        point.fidelity != sdn::Fidelity::kExact ||
+                    if (point.fidelity != sdn::Fidelity::kExact ||
                         point.flows != flows || point.services != services) {
                         continue;
                     }
@@ -1224,39 +1181,8 @@ int main(int argc, char** argv) {
                 }
             }
         }
-        std::cout << "shard scaling, fill events/s (wheel backend, exact):\n"
+        std::cout << "shard scaling, fill events/s (exact):\n"
                   << scaling.str() << "\n";
-    }
-
-    // Side-by-side events/s when both backends were swept (the CI artifact).
-    if (backends.size() == 2) {
-        workload::TextTable versus(
-            {"flows", "services", "heap ev/s", "wheel ev/s", "wheel/heap"});
-        for (const auto flows : base_flow_counts) {
-            for (const auto services : service_counts) {
-                double heap_events = 0;
-                double wheel_events = 0;
-                for (const auto& [point, result] : results) {
-                    if (point.flows != flows || point.services != services ||
-                        point.shards != 1 ||
-                        point.fidelity != sdn::Fidelity::kExact) {
-                        continue;
-                    }
-                    (point.backend == sim::QueueBackend::kHeap
-                         ? heap_events
-                         : wheel_events) = result.events_per_s;
-                }
-                if (heap_events <= 0 || wheel_events <= 0) continue;
-                versus.add_row({std::to_string(flows),
-                                std::to_string(services),
-                                workload::TextTable::num(heap_events, 0),
-                                workload::TextTable::num(wheel_events, 0),
-                                workload::TextTable::num(
-                                    wheel_events / heap_events, 2) + "x"});
-            }
-        }
-        std::cout << "heap vs wheel, fill events/s:\n"
-                  << versus.str() << "\n";
     }
 
     std::ofstream out(out_path);
@@ -1284,16 +1210,15 @@ int main(int argc, char** argv) {
         std::size_t compared = 0;
         for (const auto& [point, result] : results) {
             const auto it = baseline.find({point.flows, point.services,
-                                           backend_str(point.backend),
                                            point.shards,
                                            sdn::to_string(point.fidelity),
                                            sync_str(point),
                                            grain_label(point)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.events_per_s / it->second;
-            std::cout << "  " << point.flows << "x" << point.services << " ("
-                      << backend_str(point.backend) << ", shards "
-                      << point.shards << ", " << sdn::to_string(point.fidelity)
+            std::cout << "  " << point.flows << "x" << point.services
+                      << " (shards " << point.shards << ", "
+                      << sdn::to_string(point.fidelity)
                       << "): " << workload::TextTable::num(ratio, 2)
                       << "x baseline\n";
             log_ratio_sum += std::log(ratio);

@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "container/app_profile.hpp"
@@ -63,7 +64,9 @@ public:
     void deploy(const FunctionSpec& spec, std::uint16_t gateway_port,
                 std::function<void()> done);
 
-    /// Remove a function: unbind the gateway, drop warm instances.
+    /// Remove a function: unbind the gateway, drop warm instances. Requests
+    /// already accepted (in flight or backlogged) still get their reply;
+    /// a pending deploy or prewarm completion only fires its `done`.
     void remove(const std::string& name, std::function<void()> done);
 
     [[nodiscard]] bool deployed(const std::string& name) const;
@@ -88,15 +91,19 @@ private:
         int busy = 0;      ///< instances currently serving
         std::deque<net::EndpointDirectory::ReplyFn> backlog; ///< waiting for capacity
         sim::SimTime last_used;
+        bool removed = false;  ///< remove() ran; only accepted requests drain
     };
+    /// Scheduled callbacks hold the function itself, not its name: after a
+    /// remove() (or a remove and redeploy) a name lookup would miss or hit
+    /// the wrong function.
+    using FunctionPtr = std::shared_ptr<Function>;
 
-    void invoke(Function& fn, sim::Bytes request,
-                net::EndpointDirectory::ReplyFn reply);
+    void invoke(const FunctionPtr& fn, net::EndpointDirectory::ReplyFn reply);
     /// Occupy an instance for one request, `extra_delay` (a cold start)
     /// ahead of the invocation overhead and service time.
-    void serve(Function& fn, net::EndpointDirectory::ReplyFn reply,
+    void serve(const FunctionPtr& fn, net::EndpointDirectory::ReplyFn reply,
                sim::SimTime extra_delay);
-    void finish_invocation(const std::string& name,
+    void finish_invocation(const FunctionPtr& fn,
                            net::EndpointDirectory::ReplyFn reply);
     void reap_idle();
 
@@ -106,7 +113,7 @@ private:
     net::EndpointDirectory& endpoints_;
     sim::Rng rng_;
     WasmRuntimeCosts costs_;
-    std::map<std::string, Function> functions_;
+    std::map<std::string, FunctionPtr> functions_;
     sim::Simulation::PeriodicHandle reaper_;
     std::uint64_t cold_starts_ = 0;
     std::uint64_t invocations_ = 0;

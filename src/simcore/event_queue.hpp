@@ -1,23 +1,17 @@
-// Slab-allocated event queue for the discrete-event kernel, with a choice of
-// two ordering backends.
+// Slab-allocated event queue for the discrete-event kernel, ordered by a
+// hierarchical timing wheel (timer_wheel.hpp): O(1) push, amortized O(1)
+// pop, flat cost out to millions of pending timers.
 //
 // Events are ordered by (timestamp, insertion sequence) which makes execution
 // order fully deterministic: two events scheduled for the same instant run in
-// the order they were scheduled. Both backends produce the identical pop
-// sequence; they differ only in asymptotics:
+// the order they were scheduled.
 //
-//   kHeap  -- 4-ary min-heap of slot ids: O(log n) push/pop. Lowest constant
-//             factors at small queue sizes.
-//   kWheel -- hierarchical timing wheel (timer_wheel.hpp): O(1) push,
-//             amortized O(1) pop. Flat cost out to millions of pending
-//             timers; the default (override with TEDGE_EVENT_BACKEND=heap).
-//
-// Storage is a slab of reusable slots referenced by the backend structure. An
+// Storage is a slab of reusable slots referenced by the wheel. An
 // EventHandle is a (slot, generation) pair: cancellation is O(1) — a
 // generation-checked flag write, no allocation, no shared_ptr traffic — and a
 // handle held across slot reuse can never cancel the wrong event because the
 // generation is bumped when the slot is recycled. Cancelled events stay in
-// the backend as tombstones and are discarded lazily when they surface.
+// the wheel as tombstones and are discarded lazily when they surface.
 //
 // Events may be marked `daemon` (housekeeping periodics such as cache
 // sweeps): they execute normally while user events are pending, but
@@ -41,10 +35,13 @@ namespace tedge::sim {
 
 class EventQueue;
 
-/// Which ordering structure backs an EventQueue.
+/// Ordering structure behind an EventQueue.
 enum class QueueBackend : std::uint8_t {
-    kHeap,   ///< slab 4-ary min-heap: O(log n) push/pop
-    kWheel,  ///< hierarchical timing wheel: O(1) push, amortized O(1) pop
+    /// Retired (the former 4-ary slab heap). Never constructed; the value
+    /// survives only because the perfbench harness names it when printing
+    /// the default backend.
+    kHeap,
+    kWheel,  ///< hierarchical timing wheel: the only ordering structure
 };
 
 /// Handle to a scheduled event; allows cancellation before it fires.
@@ -75,20 +72,15 @@ class EventQueue {
 public:
     using Callback = UniqueFunction<void()>;
 
-    explicit EventQueue(QueueBackend backend = default_backend()) : backend_(backend) {
-        store_.heap.resize(kRoot); // physical pad before the heap root
+    /// The ordering structure every queue runs on: always kWheel.
+    [[nodiscard]] static constexpr QueueBackend default_backend() {
+        return QueueBackend::kWheel;
     }
 
-    /// Process-wide default backend: the wheel, unless the environment
-    /// variable TEDGE_EVENT_BACKEND is set to "heap" or "wheel".
-    [[nodiscard]] static QueueBackend default_backend();
-
-    [[nodiscard]] QueueBackend backend() const { return backend_; }
-
     /// Schedule `cb` to fire at absolute time `at`. Daemon events run like
-    /// any other but do not keep Simulation::run() alive on their own. The
-    /// wheel backend requires `at` to be non-negative and not precede the
-    /// most recently popped timestamp (Simulation guarantees both).
+    /// any other but do not keep Simulation::run() alive on their own. `at`
+    /// must be non-negative and not precede the most recently popped
+    /// timestamp (Simulation guarantees both).
     EventHandle push(SimTime at, Callback cb, bool daemon = false);
 
     /// True when no live events remain (cancelled tombstones do not count).
@@ -105,10 +97,10 @@ public:
     [[nodiscard]] SimTime next_time() const;
 
     /// True when the earliest live event is a daemon. Requires !empty().
-    /// Non-destructive on both backends (the wheel is not advanced), so the
-    /// caller may still push events earlier than the reported minimum — the
-    /// sharded kernel peeks this to fence daemon housekeeping without
-    /// disturbing later message insertion.
+    /// Non-destructive (the wheel is not advanced), so the caller may still
+    /// push events earlier than the reported minimum — the sharded kernel
+    /// peeks this to fence daemon housekeeping without disturbing later
+    /// message insertion.
     [[nodiscard]] bool next_is_daemon() const;
 
     /// Remove and return the earliest live event. Requires !empty().
@@ -117,18 +109,18 @@ public:
     /// Drop all events.
     void clear();
 
-    /// Pre-size the slot slab (and, on the heap backend, the heap array) for
-    /// `events` concurrently pending events, avoiding vector-growth stalls
-    /// mid-run. The wheel needs no pre-sizing: its buckets reach steady-state
-    /// capacity within one rotation and are recycled thereafter.
+    /// Pre-size the slot slab for `events` concurrently pending events,
+    /// avoiding vector-growth stalls mid-run. The wheel needs no pre-sizing:
+    /// its buckets reach steady-state capacity within one rotation and are
+    /// recycled thereafter.
     void reserve(std::size_t events);
 
     /// Total number of events ever scheduled (for diagnostics/determinism checks).
     [[nodiscard]] std::uint64_t total_scheduled() const { return seq_; }
 
-    /// Cascade accounting of the wheel backend; all zeros under kHeap. The
-    /// numbers are deterministic at a fixed seed, which is what lets bench
-    /// gates assert the amortized-cascade bound without timing anything.
+    /// Cascade accounting of the timing wheel. The numbers are deterministic
+    /// at a fixed seed, which is what lets bench gates assert the
+    /// amortized-cascade bound without timing anything.
     [[nodiscard]] const TimerWheel::CascadeStats& wheel_cascade_stats() const {
         return store_.wheel.cascade_stats();
     }
@@ -147,38 +139,15 @@ private:
         bool cancelled = false;
         bool in_use = false;
     };
-    // The timestamp lives in the heap entry itself so sift operations compare
-    // contiguous 16-byte records; the insertion-sequence tie-break is fetched
-    // from the slab only when two timestamps are equal. The heap is rooted at
-    // physical index kRoot = 3 so every 4-child group starts at an index
-    // divisible by 4 -- with 16-byte entries that is one 64-byte cache line
-    // per sift level instead of two.
-    struct HeapEntry {
-        SimTime at;
-        std::uint32_t slot;
-    };
-    static constexpr std::size_t kRoot = 3;
-    static std::size_t heap_parent(std::size_t i) { return i / 4 + 2; }
-    static std::size_t heap_child(std::size_t i) { return 4 * i - 8; }
-
-    // Event storage shared by both backends. Const accessors (next_time,
-    // empty-adjacent queries) lazily discard cancelled tombstones as they
-    // surface; that housekeeping changes no observable state (live counts,
-    // next live event), so the store is mutable and the accessors stay
-    // honest const — no const_cast.
+    // Event storage. Const accessors (next_time, next_is_daemon) lazily
+    // discard cancelled tombstones as they surface; that housekeeping changes
+    // no observable state (live counts, next live event), so the store is
+    // mutable and the accessors stay honest const — no const_cast.
     struct Store {
         std::vector<Slot> slots;
-        std::vector<HeapEntry> heap;  ///< kHeap: physical indices kRoot.. hold entries
-        TimerWheel wheel;             ///< kWheel: hierarchical bucket array
+        TimerWheel wheel;
         std::uint32_t free_head = kInvalid;
-        std::size_t dead = 0;  ///< cancelled tombstones still filed in the backend
     };
-
-    [[nodiscard]] bool entry_earlier(const HeapEntry& a, const HeapEntry& b) const {
-        if (a.at != b.at) return a.at < b.at;
-        return store_.slots[a.slot].seq < store_.slots[b.slot].seq;
-    }
-    [[nodiscard]] bool heap_empty() const { return store_.heap.size() <= kRoot; }
 
     void cancel_slot(std::uint32_t slot, std::uint32_t generation);
     [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t generation) const;
@@ -186,25 +155,17 @@ private:
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t slot) const;
 
-    void sift_up(std::size_t i) const;
-    void sift_down(std::size_t i) const;
-    // Discard cancelled events that have surfaced at the heap top.
-    void drop_dead() const;
-    void pop_top() const;
-
     // Drop filter handed to the wheel: true for cancelled entries, releasing
     // their slot as the wheel removes them.
     [[nodiscard]] auto dead_filter() const {
         return [this](std::uint32_t slot) {
             if (!store_.slots[slot].cancelled) return false;
             release_slot(slot);
-            --store_.dead;
             return true;
         };
     }
 
     mutable Store store_;
-    QueueBackend backend_;
     std::uint64_t seq_ = 0;
     std::size_t live_ = 0;
     std::size_t live_user_ = 0;
@@ -237,58 +198,10 @@ inline void EventQueue::release_slot(std::uint32_t slot) const {
     store_.free_head = slot;
 }
 
-inline void EventQueue::sift_up(std::size_t i) const {
-    auto& heap = store_.heap;
-    const HeapEntry moving = heap[i];
-    while (i > kRoot) {
-        const std::size_t parent = heap_parent(i);
-        if (!entry_earlier(moving, heap[parent])) break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = moving;
-}
-
-inline void EventQueue::sift_down(std::size_t i) const {
-    auto& heap = store_.heap;
-    const std::size_t n = heap.size();
-    const HeapEntry moving = heap[i];
-    for (;;) {
-        const std::size_t first = heap_child(i);
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t last = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (entry_earlier(heap[c], heap[best])) best = c;
-        }
-        if (!entry_earlier(heap[best], moving)) break;
-        heap[i] = heap[best];
-        i = best;
-    }
-    heap[i] = moving;
-}
-
-inline void EventQueue::pop_top() const {
-    store_.heap[kRoot] = store_.heap.back();
-    store_.heap.pop_back();
-    if (!heap_empty()) sift_down(kRoot);
-}
-
-inline void EventQueue::drop_dead() const {
-    if (store_.dead == 0) return; // common case: no tombstones, no slab probe
-    while (!heap_empty() && store_.slots[store_.heap[kRoot].slot].cancelled) {
-        release_slot(store_.heap[kRoot].slot);
-        pop_top();
-        --store_.dead;
-    }
-}
-
 inline EventHandle EventQueue::push(SimTime at, Callback cb, bool daemon) {
-    if (backend_ == QueueBackend::kWheel &&
-        (at.ns() < 0 ||
-         static_cast<std::uint64_t>(at.ns()) < store_.wheel.current())) {
+    if (at.ns() < 0 || static_cast<std::uint64_t>(at.ns()) < store_.wheel.current()) {
         throw std::invalid_argument(
-            "EventQueue(wheel): timestamp negative or before the last popped event");
+            "EventQueue: timestamp negative or before the last popped event");
     }
     const std::uint32_t slot = acquire_slot();
     Slot& s = store_.slots[slot];
@@ -297,30 +210,13 @@ inline EventHandle EventQueue::push(SimTime at, Callback cb, bool daemon) {
     s.daemon = daemon;
     s.cancelled = false;
     s.in_use = true;
-    if (backend_ == QueueBackend::kHeap) {
-        store_.heap.push_back(HeapEntry{at, slot});
-        sift_up(store_.heap.size() - 1);
-    } else {
-        store_.wheel.push(static_cast<std::uint64_t>(at.ns()), s.seq, slot);
-    }
+    store_.wheel.push(static_cast<std::uint64_t>(at.ns()), s.seq, slot);
     ++live_;
     if (!daemon) ++live_user_;
     return EventHandle{this, slot, s.generation};
 }
 
 inline std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) throw std::logic_error("EventQueue::pop on empty queue");
-        const std::uint32_t slot = store_.heap[kRoot].slot;
-        Slot& s = store_.slots[slot];
-        std::pair<SimTime, Callback> out{store_.heap[kRoot].at, std::move(s.cb)};
-        --live_;
-        if (!s.daemon) --live_user_;
-        release_slot(slot); // handle now reports "not pending"
-        pop_top();
-        return out; // NRVO: no extra callback relocation
-    }
     TimerWheel::Entry entry{};
     if (!store_.wheel.pop_min(dead_filter(), entry)) {
         throw std::logic_error("EventQueue::pop on empty queue");
@@ -335,13 +231,6 @@ inline std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
 }
 
 inline bool EventQueue::next_is_daemon() const {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) {
-            throw std::logic_error("EventQueue::next_is_daemon on empty queue");
-        }
-        return store_.slots[store_.heap[kRoot].slot].daemon;
-    }
     TimerWheel::Entry entry{};
     if (!store_.wheel.min_entry(dead_filter(), entry)) {
         throw std::logic_error("EventQueue::next_is_daemon on empty queue");
@@ -350,13 +239,6 @@ inline bool EventQueue::next_is_daemon() const {
 }
 
 inline SimTime EventQueue::next_time() const {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) {
-            throw std::logic_error("EventQueue::next_time on empty queue");
-        }
-        return store_.heap[kRoot].at;
-    }
     std::uint64_t at = 0;
     if (!store_.wheel.min_time(dead_filter(), at)) {
         throw std::logic_error("EventQueue::next_time on empty queue");

@@ -1,5 +1,6 @@
 // Hierarchical timing wheel (Varghese & Lauck) over absolute nanosecond
-// timestamps: the O(1) alternative to the 4-ary heap behind EventQueue.
+// timestamps: the ordering structure behind EventQueue, O(1) push and
+// amortized O(1) pop.
 //
 // Geometry. 11 levels x 64 buckets cover every bit of a 64-bit timestamp
 // (6 bits per level). An entry at absolute time `at` is filed relative to the

@@ -1,5 +1,6 @@
 // Property-style sweeps over the WASM runtime: cold-start scaling, warm-hit
-// ratios under different arrival patterns, and instance-cap behaviour.
+// ratios under different arrival patterns, instance-cap behaviour, and
+// removal while work is still scheduled.
 #include <gtest/gtest.h>
 
 #include "serverless/wasm_runtime.hpp"
@@ -139,6 +140,65 @@ TEST_F(RuntimeSweepFixture, RedeploySameModuleSkipsLoad) {
     simulation.run();
     ASSERT_TRUE(second);
     EXPECT_LT(simulation.now() - t1, first_duration);
+}
+
+TEST_F(RuntimeSweepFixture, RemoveWhileBusyRepliesToEveryAcceptedRequest) {
+    runtime->deploy(function("fn", /*max_instances=*/1), 9000, [] {});
+    simulation.run();
+    const auto handler = endpoints.find(node, 9000);
+    ASSERT_NE(handler, nullptr);
+
+    // A prewarm still instantiating, one invocation in flight (a cold start,
+    // since the prewarm has not finished) and one backlogged behind the cap.
+    int prewarmed = 0;
+    runtime->prewarm("fn", 1, [&] { ++prewarmed; });
+    int in_flight = 0;
+    int backlogged = 0;
+    (*handler)(64, [&](sim::Bytes bytes) {
+        EXPECT_EQ(bytes, app.response_size);
+        ++in_flight;
+    });
+    (*handler)(64, [&](sim::Bytes bytes) {
+        EXPECT_EQ(bytes, app.response_size);
+        ++backlogged;
+    });
+    const auto cold_starts = runtime->cold_starts();
+    int removed = 0;
+    runtime->remove("fn", [&] { ++removed; });
+
+    EXPECT_NO_THROW(simulation.run());
+    EXPECT_EQ(in_flight, 1);
+    EXPECT_EQ(backlogged, 1);
+    EXPECT_EQ(prewarmed, 1);
+    EXPECT_EQ(removed, 1);
+    // The late prewarm neither counted a cold start nor resurrected the pool.
+    EXPECT_EQ(runtime->cold_starts(), cold_starts);
+    EXPECT_FALSE(runtime->deployed("fn"));
+    EXPECT_EQ(runtime->warm_instances("fn"), 0);
+    EXPECT_EQ(endpoints.find(node, 9000), nullptr);
+}
+
+TEST_F(RuntimeSweepFixture, RemoveBeforeModuleLoadOnlyFiresDone) {
+    int deployed = 0;
+    runtime->deploy(function("fn"), 9000, [&] { ++deployed; });
+    runtime->remove("fn", [] {});
+    EXPECT_NO_THROW(simulation.run());
+    EXPECT_EQ(deployed, 1);
+    EXPECT_FALSE(runtime->deployed("fn"));
+    EXPECT_EQ(endpoints.find(node, 9000), nullptr);
+
+    // A redeploy under the same name is a fresh function: it loads and binds
+    // as usual and serves from a cold start.
+    runtime->deploy(function("fn"), 9000, [&] { ++deployed; });
+    simulation.run();
+    EXPECT_EQ(deployed, 2);
+    const auto handler = endpoints.find(node, 9000);
+    ASSERT_NE(handler, nullptr);
+    bool done = false;
+    (*handler)(64, [&](sim::Bytes) { done = true; });
+    simulation.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(runtime->warm_instances("fn"), 1);
 }
 
 } // namespace

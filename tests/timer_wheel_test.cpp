@@ -1,12 +1,12 @@
-// Timer-wheel backend: differential determinism against the heap backend,
-// wheel-specific edge cases (cascading, deadline peeks, rewind-after-clear),
-// and the EventQueue::clear() cold path on both backends.
+// Event queue: determinism against an independent ordered-set model,
+// timing-wheel edge cases (cascading, deadline peeks, rewind-after-clear),
+// and the EventQueue::clear() cold path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
-#include <string>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -18,28 +18,76 @@ namespace {
 using namespace tedge;
 using sim::EventHandle;
 using sim::EventQueue;
-using sim::QueueBackend;
 using sim::SimTime;
-
-std::string backend_name(QueueBackend backend) {
-    return backend == QueueBackend::kHeap ? "heap" : "wheel";
-}
 
 // ------------------------------------------------------------ differential
 
 /// One fired event as observed by the caller: (timestamp, id, daemon flag).
 using PopRecord = std::tuple<std::int64_t, int, bool>;
 
-/// Drive a raw EventQueue through a seeded random schedule/cancel/pop
-/// workload and record the exact pop sequence. Delays mix five magnitudes --
-/// same-instant collisions up to ~17 simulated minutes -- so wheel entries
-/// exercise every level and the cascade path repeatedly.
-std::vector<PopRecord> run_random_workload(QueueBackend backend,
-                                           std::uint32_t seed) {
-    EventQueue queue(backend);
+/// The reference the kernel is checked against: an ordered set keyed by the
+/// queue's contract, (timestamp, insertion seq), with cancellation as erase.
+/// It shares no slab, handle or wheel code with EventQueue. Both test
+/// queues name a pushed event by its push index.
+class ReferenceQueue {
+public:
+    void push(std::int64_t at, int id, bool daemon) {
+        keys_.emplace_back(at, seq_++, id, daemon);
+        pending_.insert(keys_.back());
+    }
+    void cancel(std::size_t index) { pending_.erase(keys_[index]); }
+    [[nodiscard]] bool empty() const { return pending_.empty(); }
+    [[nodiscard]] std::int64_t next_time() const {
+        return std::get<0>(*pending_.begin());
+    }
+    PopRecord pop() {
+        const auto [at, seq, id, daemon] = *pending_.begin();
+        pending_.erase(pending_.begin());
+        return {at, id, daemon};
+    }
+
+private:
+    using Key = std::tuple<std::int64_t, std::uint64_t, int, bool>;
+    std::set<Key> pending_;
+    std::vector<Key> keys_;  ///< by push index; erasing a popped key is a no-op
+    std::uint64_t seq_ = 0;
+};
+
+/// EventQueue behind the same interface; each callback reports its own
+/// identity, so a pop is checked against what was actually scheduled.
+class KernelQueue {
+public:
+    void push(std::int64_t at, int id, bool daemon) {
+        handles_.push_back(queue_.push(
+            SimTime{at}, [this, at, id, daemon] { fired_ = {at, id, daemon}; },
+            daemon));
+    }
+    void cancel(std::size_t index) { handles_[index].cancel(); }
+    [[nodiscard]] bool empty() const { return queue_.empty(); }
+    [[nodiscard]] std::int64_t next_time() const { return queue_.next_time().ns(); }
+    PopRecord pop() {
+        auto [at, cb] = queue_.pop();
+        cb();
+        EXPECT_EQ(at.ns(), std::get<0>(fired_));
+        return fired_;
+    }
+
+private:
+    EventQueue queue_;
+    std::vector<EventHandle> handles_;
+    PopRecord fired_{};
+};
+
+/// Drive a queue through a seeded random schedule/cancel/pop workload and
+/// record the exact pop sequence. Delays mix five magnitudes -- same-instant
+/// collisions up to ~17 simulated minutes -- so wheel entries exercise every
+/// level and the cascade path repeatedly.
+template <typename Queue>
+std::vector<PopRecord> run_random_workload(std::uint32_t seed) {
+    Queue queue;
     std::mt19937 rng(seed);
     std::vector<PopRecord> popped;
-    std::vector<EventHandle> handles;
+    std::size_t pushed = 0;
     std::int64_t now = 0;
     int next_id = 0;
 
@@ -53,87 +101,82 @@ std::vector<PopRecord> run_random_workload(QueueBackend backend,
                 return static_cast<std::int64_t>(rng() % 1024) * 1'000'000'000;
         }
     };
+    const auto pop_one = [&] {
+        popped.push_back(queue.pop());
+        now = std::get<0>(popped.back());
+    };
 
     for (int round = 0; round < 300; ++round) {
         const std::size_t pushes = rng() % 8;
         for (std::size_t i = 0; i < pushes; ++i) {
             const int id = next_id++;
             const bool daemon = rng() % 4 == 0;
-            const SimTime at{now + random_delay()};
-            handles.push_back(queue.push(
-                at,
-                [&popped, id, daemon, at] {
-                    popped.emplace_back(at.ns(), id, daemon);
-                },
-                daemon));
+            const std::int64_t at = now + random_delay();
+            queue.push(at, id, daemon);
+            ++pushed;
         }
         const std::size_t cancels = rng() % 3;
-        for (std::size_t i = 0; i < cancels && !handles.empty(); ++i) {
-            handles[rng() % handles.size()].cancel();
+        for (std::size_t i = 0; i < cancels && pushed > 0; ++i) {
+            queue.cancel(rng() % pushed);
         }
         if (round % 7 == 0 && !queue.empty()) {
-            // Exercise the non-destructive minimum (heap drop_dead / wheel
-            // min cache) interleaved with later smaller-timestamp pushes.
-            popped.emplace_back(queue.next_time().ns(), -1, false);
+            // Exercise the non-destructive minimum (the wheel's min cache)
+            // interleaved with later smaller-timestamp pushes.
+            popped.emplace_back(queue.next_time(), -1, false);
         }
         std::size_t pops = rng() % 6;
-        while (pops-- > 0 && !queue.empty()) {
-            auto [at, cb] = queue.pop();
-            now = at.ns();
-            cb();
-        }
+        while (pops-- > 0 && !queue.empty()) pop_one();
     }
-    while (!queue.empty()) {
-        auto [at, cb] = queue.pop();
-        now = at.ns();
-        cb();
-    }
-    EXPECT_EQ(queue.size(), 0u);
+    while (!queue.empty()) pop_one();
     return popped;
 }
 
-TEST(TimerWheelDifferential, PopSequenceMatchesHeapExactly) {
+TEST(TimerWheelDifferential, PopSequenceMatchesReferenceModelExactly) {
     for (const std::uint32_t seed : {1u, 7u, 42u, 1234u, 99999u}) {
-        const auto heap = run_random_workload(QueueBackend::kHeap, seed);
-        const auto wheel = run_random_workload(QueueBackend::kWheel, seed);
-        ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < heap.size(); ++i) {
-            ASSERT_EQ(heap[i], wheel[i]) << "seed " << seed << " index " << i;
+        const auto reference = run_random_workload<ReferenceQueue>(seed);
+        const auto kernel = run_random_workload<KernelQueue>(seed);
+        ASSERT_GT(reference.size(), 500u) << "seed " << seed;
+        ASSERT_EQ(reference.size(), kernel.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            ASSERT_EQ(reference[i], kernel[i]) << "seed " << seed << " index " << i;
         }
     }
 }
 
 TEST(TimerWheelDifferential, SimulationReferenceScheduleMatches) {
-    // A Simulation-level workload with periodics, nested schedules and
-    // cancellations must execute identically on both backends.
-    const auto run = [](QueueBackend backend) {
-        sim::Simulation simulation(backend);
-        std::vector<std::pair<std::int64_t, int>> order;
-        const auto mark = [&](int id) {
-            order.emplace_back(simulation.now().ns(), id);
-        };
-        auto periodic = simulation.schedule_periodic(
-            sim::milliseconds(250), [&] { mark(1); }, /*daemon=*/true);
-        simulation.schedule(sim::seconds(1), [&] {
-            mark(2);
-            simulation.schedule(sim::milliseconds(1), [&] { mark(3); });
-            simulation.schedule(SimTime::zero(), [&] { mark(4); });
-        });
-        auto doomed = simulation.schedule(sim::seconds(2), [&] { mark(99); });
-        simulation.schedule(sim::milliseconds(1500), [&doomed, &mark] {
-            mark(5);
-            doomed.cancel();
-        });
-        simulation.schedule(sim::seconds(3), [&] { mark(6); });
-        const auto executed = simulation.run();
-        periodic.cancel();
-        return std::make_pair(executed, order);
+    // Periodics, nested schedules and cancellations through the Simulation
+    // loop. Same-instant events run in scheduling order: the periodic's 1 s
+    // firing was re-armed at 750 ms, after event 2 was scheduled at t=0 but
+    // before event 2 scheduled event 4. run() returns after event 6 because
+    // only the daemon periodic remains.
+    sim::Simulation simulation;
+    std::vector<std::pair<std::int64_t, int>> order;
+    const auto mark = [&](int id) { order.emplace_back(simulation.now().ns(), id); };
+    auto periodic = simulation.schedule_periodic(
+        sim::milliseconds(250), [&] { mark(1); }, /*daemon=*/true);
+    simulation.schedule(sim::seconds(1), [&] {
+        mark(2);
+        simulation.schedule(sim::milliseconds(1), [&] { mark(3); });
+        simulation.schedule(SimTime::zero(), [&] { mark(4); });
+    });
+    auto doomed = simulation.schedule(sim::seconds(2), [&] { mark(99); });
+    simulation.schedule(sim::milliseconds(1500), [&doomed, &mark] {
+        mark(5);
+        doomed.cancel();
+    });
+    simulation.schedule(sim::seconds(3), [&] { mark(6); });
+    const auto executed = simulation.run();
+    periodic.cancel();
+
+    const auto ms = [](std::int64_t v) { return sim::milliseconds(v).ns(); };
+    const std::vector<std::pair<std::int64_t, int>> expected = {
+        {ms(250), 1},  {ms(500), 1},  {ms(750), 1},  {ms(1000), 2},
+        {ms(1000), 1}, {ms(1000), 4}, {ms(1001), 3}, {ms(1250), 1},
+        {ms(1500), 5}, {ms(1500), 1}, {ms(1750), 1}, {ms(2000), 1},
+        {ms(2250), 1}, {ms(2500), 1}, {ms(2750), 1}, {ms(3000), 6},
     };
-    const auto heap = run(QueueBackend::kHeap);
-    const auto wheel = run(QueueBackend::kWheel);
-    EXPECT_EQ(heap.first, wheel.first);
-    ASSERT_EQ(heap.second.size(), wheel.second.size());
-    EXPECT_EQ(heap.second, wheel.second);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(executed, expected.size());
 }
 
 // --------------------------------------------------------- wheel specifics
@@ -142,7 +185,7 @@ TEST(TimerWheel, SameInstantFifoAcrossCascadeLevels) {
     // First event files far from the reference instant (high wheel level);
     // after the wheel advances, a second event for the same instant files
     // near it (low level). Seq order must still win.
-    EventQueue queue(QueueBackend::kWheel);
+    EventQueue queue;
     std::vector<int> order;
     constexpr std::int64_t kFar = 3'000'000'000; // 3 s: level > 0 from t=0
     queue.push(SimTime{kFar}, [&] { order.push_back(1); });
@@ -157,33 +200,29 @@ TEST(TimerWheel, PushEarlierThanPeekedMinimum) {
     // run_until consults next_time(), stops short of it, and later events may
     // be pushed *below* the pending minimum. The wheel must not have
     // advanced its reference instant during the peek.
-    for (const auto backend : {QueueBackend::kHeap, QueueBackend::kWheel}) {
-        sim::Simulation simulation(backend);
-        std::vector<int> order;
-        simulation.schedule_at(sim::seconds(10), [&] { order.push_back(1); });
-        simulation.run_until(sim::seconds(1)); // peeks 10s, stops at 1s
-        EXPECT_EQ(simulation.now(), sim::seconds(1));
-        simulation.schedule_at(sim::seconds(2), [&] { order.push_back(0); });
-        simulation.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 1})) << backend_name(backend);
-        EXPECT_EQ(simulation.now(), sim::seconds(10)) << backend_name(backend);
-    }
+    sim::Simulation simulation;
+    std::vector<int> order;
+    simulation.schedule_at(sim::seconds(10), [&] { order.push_back(1); });
+    simulation.run_until(sim::seconds(1)); // peeks 10s, stops at 1s
+    EXPECT_EQ(simulation.now(), sim::seconds(1));
+    simulation.schedule_at(sim::seconds(2), [&] { order.push_back(0); });
+    simulation.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(simulation.now(), sim::seconds(10));
 }
 
 TEST(TimerWheel, CancelledMinimumIsSkippedByNextTime) {
-    for (const auto backend : {QueueBackend::kHeap, QueueBackend::kWheel}) {
-        EventQueue queue(backend);
-        auto first = queue.push(sim::seconds(1), [] {});
-        queue.push(sim::seconds(2), [] {});
-        EXPECT_EQ(queue.next_time(), sim::seconds(1));
-        first.cancel();
-        EXPECT_EQ(queue.next_time(), sim::seconds(2)) << backend_name(backend);
-        EXPECT_EQ(queue.pop().first, sim::seconds(2)) << backend_name(backend);
-    }
+    EventQueue queue;
+    auto first = queue.push(sim::seconds(1), [] {});
+    queue.push(sim::seconds(2), [] {});
+    EXPECT_EQ(queue.next_time(), sim::seconds(1));
+    first.cancel();
+    EXPECT_EQ(queue.next_time(), sim::seconds(2));
+    EXPECT_EQ(queue.pop().first, sim::seconds(2));
 }
 
 TEST(TimerWheel, RejectsTimestampBeforeLastPop) {
-    EventQueue queue(QueueBackend::kWheel);
+    EventQueue queue;
     queue.push(sim::seconds(5), [] {});
     (void)queue.pop();
     EXPECT_THROW(queue.push(sim::seconds(4), [] {}), std::invalid_argument);
@@ -194,7 +233,7 @@ TEST(TimerWheel, RejectsTimestampBeforeLastPop) {
 
 TEST(TimerWheel, DistantTimersAcrossManyLevels) {
     // Timestamps spanning ns..~11.5 days exercise most levels of the wheel.
-    EventQueue queue(QueueBackend::kWheel);
+    EventQueue queue;
     std::vector<std::int64_t> ats;
     std::int64_t at = 1;
     while (at < 1'000'000'000'000'000) { // 10^15 ns
@@ -212,19 +251,10 @@ TEST(TimerWheel, DistantTimersAcrossManyLevels) {
     EXPECT_EQ(popped, ats);
 }
 
-TEST(TimerWheel, BackendAccessorsReport) {
-    sim::Simulation heap_sim(QueueBackend::kHeap);
-    sim::Simulation wheel_sim(QueueBackend::kWheel);
-    EXPECT_EQ(heap_sim.backend(), QueueBackend::kHeap);
-    EXPECT_EQ(wheel_sim.backend(), QueueBackend::kWheel);
-}
-
 // ------------------------------------------------------------------ clear()
 
-class EventQueueClearTest : public ::testing::TestWithParam<QueueBackend> {};
-
-TEST_P(EventQueueClearTest, DropsLiveDaemonAndCancelledMixes) {
-    EventQueue queue(GetParam());
+TEST(EventQueueClearTest, DropsLiveDaemonAndCancelledMixes) {
+    EventQueue queue;
     int fired = 0;
     auto user = queue.push(sim::seconds(1), [&] { ++fired; });
     auto daemon = queue.push(sim::seconds(2), [&] { ++fired; }, /*daemon=*/true);
@@ -247,8 +277,8 @@ TEST_P(EventQueueClearTest, DropsLiveDaemonAndCancelledMixes) {
     (void)daemon;
 }
 
-TEST_P(EventQueueClearTest, HandlesToClearedEventsAreInert) {
-    EventQueue queue(GetParam());
+TEST(EventQueueClearTest, HandlesToClearedEventsAreInert) {
+    EventQueue queue;
     auto live = queue.push(sim::seconds(1), [] {});
     auto daemon = queue.push(sim::seconds(2), [] {}, /*daemon=*/true);
     EXPECT_TRUE(live.pending());
@@ -274,8 +304,8 @@ TEST_P(EventQueueClearTest, HandlesToClearedEventsAreInert) {
     EXPECT_EQ(fired, 1);
 }
 
-TEST_P(EventQueueClearTest, QueueIsReusableAfterClearIncludingEarlierTimes) {
-    EventQueue queue(GetParam());
+TEST(EventQueueClearTest, QueueIsReusableAfterClearIncludingEarlierTimes) {
+    EventQueue queue;
     queue.push(sim::seconds(100), [] {});
     (void)queue.pop(); // wheel reference instant now 100 s
     queue.push(sim::seconds(200), [] {});
@@ -289,8 +319,8 @@ TEST_P(EventQueueClearTest, QueueIsReusableAfterClearIncludingEarlierTimes) {
     EXPECT_EQ(order, (std::vector<std::int64_t>{1, 2}));
 }
 
-TEST_P(EventQueueClearTest, ClearOnEmptyQueueIsNoOp) {
-    EventQueue queue(GetParam());
+TEST(EventQueueClearTest, ClearOnEmptyQueueIsNoOp) {
+    EventQueue queue;
     queue.clear();
     EXPECT_TRUE(queue.empty());
     queue.push(sim::seconds(1), [] {});
@@ -300,8 +330,8 @@ TEST_P(EventQueueClearTest, ClearOnEmptyQueueIsNoOp) {
     EXPECT_EQ(queue.total_scheduled(), 1u);
 }
 
-TEST_P(EventQueueClearTest, ClearAfterPartialDrainResetsCounters) {
-    EventQueue queue(GetParam());
+TEST(EventQueueClearTest, ClearAfterPartialDrainResetsCounters) {
+    EventQueue queue;
     for (int i = 0; i < 8; ++i) {
         queue.push(sim::seconds(i + 1), [] {}, /*daemon=*/i % 2 == 0);
     }
@@ -317,26 +347,17 @@ TEST_P(EventQueueClearTest, ClearAfterPartialDrainResetsCounters) {
     EXPECT_EQ(queue.size(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueClearTest,
-                         ::testing::Values(QueueBackend::kHeap,
-                                           QueueBackend::kWheel),
-                         [](const auto& info) {
-                             return backend_name(info.param);
-                         });
-
 // ------------------------------------------------------------- reserve()
 
 TEST(EventQueueReserve, ReserveDoesNotChangeObservableState) {
-    for (const auto backend : {QueueBackend::kHeap, QueueBackend::kWheel}) {
-        EventQueue queue(backend);
-        queue.push(sim::seconds(2), [] {});
-        queue.reserve(10'000);
-        queue.push(sim::seconds(1), [] {});
-        EXPECT_EQ(queue.size(), 2u) << backend_name(backend);
-        EXPECT_EQ(queue.next_time(), sim::seconds(1)) << backend_name(backend);
-        EXPECT_EQ(queue.pop().first, sim::seconds(1)) << backend_name(backend);
-        EXPECT_EQ(queue.pop().first, sim::seconds(2)) << backend_name(backend);
-    }
+    EventQueue queue;
+    queue.push(sim::seconds(2), [] {});
+    queue.reserve(10'000);
+    queue.push(sim::seconds(1), [] {});
+    EXPECT_EQ(queue.size(), 2u);
+    EXPECT_EQ(queue.next_time(), sim::seconds(1));
+    EXPECT_EQ(queue.pop().first, sim::seconds(1));
+    EXPECT_EQ(queue.pop().first, sim::seconds(2));
 }
 
 TEST(EventQueueReserve, SimulationForwardsReserve) {
