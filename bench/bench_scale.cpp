@@ -40,27 +40,18 @@
 // coordinator that drives the domains -- the lock-free channel plane or the
 // global-barrier reference oracle (DESIGN §8). Points
 // record the mode as "sync_mode" plus the per-run lane accounting -- total
-// lane busy/blocked wall time, the null-message count, and the lock-free
-// plane's wakeup/park/suppression/demand counters -- so the shard-scaling
+// lane busy/blocked wall time and the lock-free plane's
+// wakeup/park/suppression/demand counters -- so the shard-scaling
 // table can attribute (lack of) speedup to synchronization stalls vs lock
 // contention. Baselines written before the sync dimension existed were all
 // measured on the barrier design and parse as sync_mode=barrier; serial rows
 // carry the same label so they keep gating across the change.
-//
-// Channel rows additionally sweep a grain dimension (--grain, a CSV of
-// fractions of each channel's lookahead; default "0.25"): the null-message
-// suppression threshold of DESIGN §8.7. Grain changes scheduling pressure
-// only, never results, so every grain row produces the same simulation
-// outcome; the sweep exists to price suppression (nulls and wakeups per
-// point). Barrier rows record grain=0, and baselines written before the
-// grain dimension existed parse as grain=0.
 //
 // Flags: --quick (skip the 1M row: CI),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
 //        --sync channel|barrier|both (coordinator for sharded rows;
 //        default channel; both = barrier + channel),
-//        --grain <csv> (lookahead fractions for channel rows, default 0.25),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -181,7 +172,6 @@ struct SweepPoint {
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
     sim::SyncMode sync = sim::SyncMode::kChannel;  ///< sharded points only
-    double grain = 0.25;  ///< horizon grain fraction (lock-free channel only)
 };
 
 /// Label recorded in JSON and used as the baseline key. Serial points carry
@@ -191,14 +181,6 @@ struct SweepPoint {
 const char* sync_str(const SweepPoint& point) {
     return point.shards > 1 && point.sync == sim::SyncMode::kChannel ? "channel"
                                                                       : "barrier";
-}
-
-/// Grain recorded in JSON and used in the baseline key. Only the channel
-/// coordinator reads Options::horizon_grain, so serial and barrier rows
-/// carry 0 -- which also matches how pre-grain baselines parse.
-double grain_label(const SweepPoint& point) {
-    if (point.shards <= 1 || point.sync != sim::SyncMode::kChannel) return 0.0;
-    return point.grain;
 }
 
 /// POD result shipped from the forked child back over the pipe.
@@ -214,14 +196,13 @@ struct PointResult {
     std::uint64_t idle_notifications = 0;
     std::uint64_t peak_live_flows = 0;
     std::uint64_t sync_rounds = 0;  ///< sync rounds / windows (sharded points)
-    std::uint64_t null_messages = 0;   ///< pure horizon publications (channel)
     std::uint64_t lane_busy_ns = 0;    ///< wall time lanes spent in windows
     std::uint64_t lane_blocked_ns = 0; ///< wall time lanes waited on upstreams
     std::uint32_t lane_count = 0;      ///< coordinator lanes the run used
     std::uint64_t wakeups = 0;      ///< lane gate wakeups (lock-free channel)
     std::uint64_t parks = 0;        ///< gate waits that hit the condvar path
     std::uint64_t parked_ns = 0;    ///< wall time lanes spent parked
-    std::uint64_t suppressed = 0;   ///< horizon advances withheld by the grain
+    std::uint64_t suppressed = 0;   ///< pure null horizon advances withheld
     std::uint64_t demands = 0;      ///< demand pulls by EIT-blocked domains
     std::uint64_t digests = 0;      ///< digests the controller received
     std::uint32_t cores_used = 1;      ///< worker threads the point could use
@@ -543,7 +524,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     kernel.seed = 42;
     kernel.lookahead = kAccessLatency;
     kernel.sync = point.sync;
-    kernel.horizon_grain = point.grain;
     sim::ShardedSimulation sharded(kernel);
 
     std::vector<sim::Domain*> edges;
@@ -695,7 +675,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
         result.idle_notifications += shard.plane->idle_notifications();
     }
     result.sync_rounds = sharded.rounds();
-    result.null_messages = sharded.null_messages();
     result.wakeups = sharded.lane_wakeups();
     result.suppressed = sharded.suppressed_publications();
     result.demands = sharded.demand_requests();
@@ -749,12 +728,10 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << ", \"shards\": " << point.shards
         << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
         << "\", \"sync_mode\": \"" << sync_str(point)
-        << "\", \"grain\": " << grain_label(point)
-        << ", \"cores_used\": " << result.cores_used
+        << "\", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
         << ", \"kernel_events\": " << result.kernel_events
         << ", \"sync_rounds\": " << result.sync_rounds
-        << ", \"null_messages\": " << result.null_messages
         << ", \"wakeups\": " << result.wakeups
         << ", \"parks\": " << result.parks
         << ", \"parked_ns\": " << result.parked_ns
@@ -809,16 +786,16 @@ std::optional<std::string> extract_string(const std::string& line,
 }
 
 using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::size_t,
-                               std::string, std::string, double>;
+                               std::string, std::string>;
 
-/// events/s per (flows, services, shards, fidelity, sync, grain) point parsed
-/// from a BENCH_scale.json. Older baselines tag each point with the event
-/// queue it ran on; points measured on the retired heap queue are skipped.
-/// Points written before the shard / fidelity dimensions existed parse as
-/// shards=1 / exact, points written before the sync dimension existed were
-/// all measured on the barrier coordinator, so they parse as
-/// sync_mode=barrier, and points written before the grain dimension existed
-/// parse as grain=0.
+/// events/s per (flows, services, shards, fidelity, sync) point parsed from a
+/// BENCH_scale.json. Older baselines tag each point with the event queue it
+/// ran on; points measured on the retired heap queue are skipped. Their
+/// "grain" field is ignored: every channel row in them ran at 0.25, the one
+/// publication rule the coordinator now has. Points written before the
+/// shard / fidelity dimensions existed parse as shards=1 / exact, and points
+/// written before the sync dimension existed were all measured on the
+/// barrier coordinator, so they parse as sync_mode=barrier.
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
@@ -831,15 +808,13 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
         const auto shards = extract_number(line, "shards");
         const auto fidelity = extract_string(line, "fidelity");
         const auto sync = extract_string(line, "sync_mode");
-        const auto grain = extract_number(line, "grain");
         if (backend && *backend != "wheel") continue;
         if (flows && services && events) {
             baseline[{static_cast<std::size_t>(*flows),
                       static_cast<std::uint32_t>(*services),
                       static_cast<std::size_t>(shards.value_or(1)),
                       fidelity.value_or("exact"),
-                      sync.value_or("barrier"),
-                      grain.value_or(0.0)}] = *events;
+                      sync.value_or("barrier")}] = *events;
         }
     }
     return baseline;
@@ -862,23 +837,6 @@ std::optional<std::vector<std::size_t>> parse_shards_csv(const std::string& csv)
     return shards;
 }
 
-/// "0,0.25,1" -> {0, 0.25, 1}; nullopt on anything non-numeric or negative.
-std::optional<std::vector<double>> parse_grain_csv(const std::string& csv) {
-    std::vector<double> grains;
-    std::stringstream in(csv);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0' || value < 0) {
-            return std::nullopt;
-        }
-        grains.push_back(value);
-    }
-    if (grains.empty()) return std::nullopt;
-    return grains;
-}
-
 } // namespace
 } // namespace tedge::bench
 
@@ -892,7 +850,6 @@ int main(int argc, char** argv) {
     std::string shards_arg = "1,2,8";
     std::string fidelity_arg = "both";
     std::string sync_arg = "channel";
-    std::string grain_arg = "0.25";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -907,13 +864,10 @@ int main(int argc, char** argv) {
             fidelity_arg = argv[++i];
         } else if (arg == "--sync" && i + 1 < argc) {
             sync_arg = argv[++i];
-        } else if (arg == "--grain" && i + 1 < argc) {
-            grain_arg = argv[++i];
         } else {
             std::cerr << "usage: bench_scale [--quick] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
                          "[--sync channel|barrier|both] "
-                         "[--grain <csv>] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
         }
@@ -948,12 +902,6 @@ int main(int argc, char** argv) {
                   << "' (expected channel, barrier, or both)\n";
         return 2;
     }
-    const auto grain_values = parse_grain_csv(grain_arg);
-    if (!grain_values) {
-        std::cerr << "bad --grain '" << grain_arg
-                  << "' (expected comma-separated non-negative fractions)\n";
-        return 2;
-    }
 
     print_header("scale",
                  "control-plane scale sweep: concurrent flows x services -> "
@@ -965,7 +913,7 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "shards", "sync", "grain", "flows",
+    workload::TextTable table({"fidelity", "shards", "sync", "flows",
                                "services", "events/s", "install p50",
                                "install p99", "lookup ns", "idle ns",
                                "peak RSS MB"});
@@ -983,60 +931,49 @@ int main(int argc, char** argv) {
                 // The sync dimension only exists for sharded points; a
                 // serial point runs once no matter how many modes sweep.
                 if (shards == 1 && sync != syncs.front()) continue;
-            for (const auto grain : *grain_values) {
-                // Only the channel coordinator reads the grain; serial
-                // and barrier rows run once no matter how many sweep.
-                if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
-                    grain != grain_values->front()) {
-                    continue;
-                }
-            for (const auto flows : flow_counts) {
-                for (const auto services : service_counts) {
-                    const SweepPoint point{flows, services, shards,
-                                           fidelity, sync, grain};
-                    const auto result = run_forked<PointResult>(
-                        [point] { return run_point(point); });
-                    if (!result) {
-                        std::cerr << "point " << flows << "x" << services
-                                  << " (shards " << shards << ", "
-                                  << sdn::to_string(fidelity)
-                                  << ") failed (child died)\n";
-                        return 1;
+                for (const auto flows : flow_counts) {
+                    for (const auto services : service_counts) {
+                        const SweepPoint point{flows, services, shards,
+                                               fidelity, sync};
+                        const auto result = run_forked<PointResult>(
+                            [point] { return run_point(point); });
+                        if (!result) {
+                            std::cerr << "point " << flows << "x" << services
+                                      << " (shards " << shards << ", "
+                                      << sdn::to_string(fidelity)
+                                      << ") failed (child died)\n";
+                            return 1;
+                        }
+                        if (result->peak_live_flows != flows ||
+                            result->idle_notifications == 0) {
+                            std::cerr << "point " << flows << "x" << services
+                                      << " (shards " << shards << ", "
+                                      << sdn::to_string(fidelity)
+                                      << ") invalid: live="
+                                      << result->peak_live_flows
+                                      << " idle_notifications="
+                                      << result->idle_notifications << "\n";
+                            return 1;
+                        }
+                        results.emplace_back(point, *result);
+                        table.add_row(
+                            {sdn::to_string(fidelity), std::to_string(shards),
+                             shards > 1 ? sync_str(point) : "-",
+                             std::to_string(flows), std::to_string(services),
+                             workload::TextTable::num(result->events_per_s, 0),
+                             workload::TextTable::num(result->install_p50_ns,
+                                                      0) +
+                                 " ns",
+                             workload::TextTable::num(result->install_p99_ns,
+                                                      0) +
+                                 " ns",
+                             workload::TextTable::num(result->lookup_ns, 0),
+                             workload::TextTable::num(result->idle_check_ns, 0),
+                             workload::TextTable::num(
+                                 static_cast<double>(result->rss_kb) / 1024.0,
+                                 1)});
                     }
-                    if (result->peak_live_flows != flows ||
-                        result->idle_notifications == 0) {
-                        std::cerr << "point " << flows << "x" << services
-                                  << " (shards " << shards << ", "
-                                  << sdn::to_string(fidelity)
-                                  << ") invalid: live="
-                                  << result->peak_live_flows
-                                  << " idle_notifications="
-                                  << result->idle_notifications << "\n";
-                        return 1;
-                    }
-                    results.emplace_back(point, *result);
-                    table.add_row(
-                        {sdn::to_string(fidelity), std::to_string(shards),
-                         shards > 1 ? sync_str(point) : "-",
-                         shards > 1 && sync == sim::SyncMode::kChannel
-                             ? workload::TextTable::num(grain, 2)
-                             : "-",
-                         std::to_string(flows), std::to_string(services),
-                         workload::TextTable::num(result->events_per_s, 0),
-                         workload::TextTable::num(result->install_p50_ns,
-                                                  0) +
-                             " ns",
-                         workload::TextTable::num(result->install_p99_ns,
-                                                  0) +
-                             " ns",
-                         workload::TextTable::num(result->lookup_ns, 0),
-                         workload::TextTable::num(result->idle_check_ns, 0),
-                         workload::TextTable::num(
-                             static_cast<double>(result->rss_kb) / 1024.0,
-                             1)});
                 }
-            }
-            }
             }
         }
     }
@@ -1121,8 +1058,8 @@ int main(int argc, char** argv) {
     // (the serial row is the committed baseline).
     if (shard_counts->size() > 1) {
         workload::TextTable scaling({"flows", "services", "shards", "sync",
-                                     "grain", "cores", "events/s", "vs serial",
-                                     "per-core eff", "sync rounds", "nulls",
+                                     "cores", "events/s", "vs serial",
+                                     "per-core eff", "sync rounds",
                                      "wakeups", "parks/lane", "parked ms/lane",
                                      "busy ms", "blocked ms", "digests"});
         for (const auto flows : base_flow_counts) {
@@ -1157,15 +1094,11 @@ int main(int argc, char** argv) {
                         {std::to_string(flows), std::to_string(services),
                          std::to_string(point.shards),
                          point.shards > 1 ? sync_str(point) : "-",
-                         point.shards > 1 && point.sync == sim::SyncMode::kChannel
-                             ? workload::TextTable::num(point.grain, 2)
-                             : "-",
                          std::to_string(result.cores_used),
                          workload::TextTable::num(result.events_per_s, 0),
                          workload::TextTable::num(speedup, 2) + "x",
                          workload::TextTable::num(per_core, 2),
                          std::to_string(result.sync_rounds),
-                         std::to_string(result.null_messages),
                          std::to_string(result.wakeups),
                          workload::TextTable::num(
                              static_cast<double>(result.parks) / lanes, 1),
@@ -1212,8 +1145,7 @@ int main(int argc, char** argv) {
             const auto it = baseline.find({point.flows, point.services,
                                            point.shards,
                                            sdn::to_string(point.fidelity),
-                                           sync_str(point),
-                                           grain_label(point)});
+                                           sync_str(point)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.events_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services

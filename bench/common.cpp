@@ -1,12 +1,17 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 
 #include "simcore/thread_pool.hpp"
 #include "workload/runner.hpp"
@@ -46,8 +51,16 @@ void drain_phase(sim::Simulation& sim, const std::function<bool()>& done,
 std::size_t shards_from_env() {
     const char* v = std::getenv("TEDGE_SHARDS");
     if (v == nullptr || *v == '\0') return 0;
-    const long parsed = std::strtol(v, nullptr, 10);
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : 0;
+    const std::string_view text(v);
+    std::size_t shards = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), shards);
+    if (ec != std::errc{} || end != text.data() + text.size()) {
+        throw std::invalid_argument("TEDGE_SHARDS: '" + std::string(text) +
+                                    "' is not a shard count (expected a "
+                                    "non-negative integer)");
+    }
+    return shards;
 }
 
 sdn::Fidelity fidelity_from_env() {

@@ -47,8 +47,9 @@ struct DeploymentExperimentOptions {
     std::size_t shards = 0;
 };
 
-/// TEDGE_SHARDS parsed as a shard count, or 0 when unset/invalid (the
-/// legacy self-hosted kernel).
+/// TEDGE_SHARDS parsed as a shard count, or 0 when unset or empty (the
+/// legacy self-hosted kernel). Anything but a plain non-negative integer
+/// throws std::invalid_argument: a typo must not silently run serial.
 [[nodiscard]] std::size_t shards_from_env();
 
 /// TEDGE_FIDELITY parsed as a control-plane fidelity ("exact" / "hybrid"),

@@ -40,21 +40,6 @@ SyncMode ShardedSimulation::default_sync() {
                                 env + "' (expected barrier|channel)");
 }
 
-bool ShardedSimulation::default_pin() {
-    const char* env = std::getenv("TEDGE_PIN");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-double ShardedSimulation::default_grain() {
-    const char* env = std::getenv("TEDGE_GRAIN");
-    if (env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v >= 0.0) return v;
-    }
-    return 0.25;
-}
-
 ShardedSimulation::ShardedSimulation() : ShardedSimulation(Options{}) {}
 
 ShardedSimulation::ShardedSimulation(Options options) : options_(options) {
@@ -270,7 +255,7 @@ void ShardedSimulation::drive_barrier(Mode mode, SimTime deadline) {
             workers = std::min<std::size_t>(
                 lanes, std::max(1u, std::thread::hardware_concurrency()));
         }
-        pool_ = std::make_unique<ThreadPool>(workers, options_.pin_lanes);
+        pool_ = std::make_unique<ThreadPool>(workers);
     }
     // A prior channel-mode run that died can leave batches in the mailbox
     // rings, and messages posted outside any window (before the first run,
@@ -357,15 +342,10 @@ void ShardedSimulation::build_channel_plane() {
     edges_.clear();
     in_edges_.assign(n, {});
     out_edges_.assign(n, {});
-    const double frac = std::max(0.0, options_.horizon_grain);
     for (DomainId dst = 0; dst < n; ++dst) {
         for (const auto& [src, lookahead] : in_channels_[dst]) {
             const auto idx = static_cast<std::uint32_t>(edges_.size());
-            // Infinite-lookahead edges never exist here (in_channels_ holds
-            // finite lookaheads only), so the grain product is finite.
-            const auto grain = static_cast<std::int64_t>(
-                frac * static_cast<double>(lookahead.ns()));
-            edges_.push_back(ChannelEdge{src, dst, lookahead, grain});
+            edges_.push_back(ChannelEdge{src, dst, lookahead});
             in_edges_[dst].push_back(idx);
             out_edges_[src].push_back(idx);
         }
@@ -398,20 +378,18 @@ bool ShardedSimulation::plane_clean() const {
 
 bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
     // Horizon lift (DESIGN §8.7): with every lane idle and the plane clean,
-    // the incremental EIT climb -- one lookahead per examination, the source
-    // of almost every null message in a drained stretch -- can be replaced by
-    // its own fixpoint, computed here in one shot. Each domain's next-work
-    // time floors its next execution; relaxing x[dst] <- min(x[dst], x[src] +
+    // the incremental EIT climb -- one lookahead per examination, the pure
+    // null advances the lanes withhold -- is replaced by its own fixpoint,
+    // computed here in one shot. Each domain's next-work time floors its
+    // next execution; relaxing x[dst] <- min(x[dst], x[src] +
     // L(src, dst)) over the channel graph (Bellman-Ford, at most n rounds
     // with positive lookaheads) converges to x[j] = min over sources k of
     // (next_work(k) + dist(k, j)) -- a sound execution floor because any
     // earlier event at j would have to ride a message chain from some k, each
     // hop costing at least its channel lookahead. Publishing the lifted
     // floors jumps every horizon straight past the drained gap; the heal
-    // below then wakes exactly the domains the jump made eligible. Grain 0
-    // keeps the PR-8 incremental behavior (no lift, no suppression), which is
-    // what the null-message A/B in CI measures against.
-    if (options_.horizon_grain > 0 && !edges_.empty()) {
+    // below then wakes exactly the domains the jump made eligible.
+    if (!edges_.empty()) {
         std::vector<std::int64_t> x(domains_.size());
         for (std::size_t i = 0; i < domains_.size(); ++i) {
             x[i] = domains_[i]->next_work_time().ns();
@@ -453,9 +431,10 @@ bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
         }
         if (owes) {
             // The plane is clean (no dirty flags, no ring content) yet this
-            // domain still owes work: a wakeup was suppressed by the grain or
-            // lost to the fence_wait_ race. Re-arm the owner -- this heal is
-            // the liveness backstop that lets suppression be aggressive.
+            // domain still owes work: its input advance was withheld as a
+            // pure null or its wakeup lost to the fence_wait_ race. Re-arm
+            // the owner -- this heal is the liveness backstop that lets
+            // suppression be aggressive.
             dirty_[i].store(1, std::memory_order_seq_cst);
             quiescent = false;
         }
@@ -471,7 +450,7 @@ bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
 // a fence raise it was waiting on, or a demand aimed at it); one examination
 // drains its mailboxes, runs a window to its EIT, flushes its outbox as one
 // SPSC batch per destination, and publishes its horizon per out-channel
-// subject to the suppression grain. No lock is taken anywhere on that path.
+// unless the pass was a pure null. No lock is taken anywhere on that path.
 // When a full pass finds nothing dirty the lane registers idle under
 // sync_mu_ (the only lock left) and parks on its Eventcount; the last lane
 // to idle with a clean plane runs the quiescence scan.
@@ -512,10 +491,10 @@ void ShardedSimulation::channel_lane(std::size_t lane, std::size_t nlanes,
     };
 
     // Demand-driven null request: poke exactly the in-channel whose clock
-    // binds EIT(i). The producer treats a pending demand as "publish any
-    // advance, grain notwithstanding" and forwards the pull upstream when it
-    // is itself input-limited, so the request climbs the laggard chain until
-    // it reaches a domain that can actually act.
+    // binds EIT(i). The producer answers a pending demand with its next
+    // published advance and forwards the pull upstream when it is itself
+    // input-limited, so the request climbs the laggard chain until it
+    // reaches a domain that can actually act.
     auto demand_upstream = [&](std::size_t i) {
         std::uint32_t laggard = kNoEdge;
         SimTime laggard_eit = SimTime::max();
@@ -651,41 +630,33 @@ void ShardedSimulation::channel_lane(std::size_t lane, std::size_t nlanes,
         // An undemanded horizon advance is pure bookkeeping: any domain that
         // actually needs it is (or will be, next time it is examined)
         // blocked, and a blocked domain always demands its laggard, whose
-        // forced publication wakes it. Without this rule two drained
-        // domains would re-dirty each other forever while their horizons
-        // climb off each other toward infinity.
+        // next published advance (or the quiescence lift) wakes it. Without
+        // this rule two drained domains would re-dirty each other forever
+        // while their horizons climb off each other toward infinity.
         const SimTime eit_now = eit_of(i);
         const SimTime h = std::min(d.next_work_time(), eit_now);
         const std::int64_t hns = h.ns();
-        // A pure-null advance (nothing executed, nothing sent) is one step of
-        // the incremental EIT climb. With a positive grain those steps are
-        // withheld entirely -- demanded or not -- because the quiescence-time
-        // horizon lift computes the climb's fixpoint in one shot once the
-        // plane drains; publishing them here would keep the plane busy (each
-        // step re-dirties a consumer) and the lift would never run. Grain 0
-        // restores the incremental climb, where a demanded advance must
-        // always go out: it is then the only way a blocked consumer ever
-        // makes progress.
+        // The one publication rule: an advance from a pass that executed
+        // events or sent a batch goes out; a pure-null advance (nothing
+        // executed, nothing sent) is one step of the incremental EIT climb
+        // and is withheld, demanded or not. The quiescence-time horizon lift
+        // computes the climb's fixpoint in one shot once the plane drains;
+        // publishing the steps here would keep the plane busy (each step
+        // re-dirties a consumer) and the lift would never run.
         const bool pure_null = executed == 0 && !sent_any;
-        const bool lift_covers = pure_null && options_.horizon_grain > 0;
         bool published_any = false;
         for (const auto e : out_edges_[i]) {
             ChannelClock& clk = clocks_[e];
             const std::int64_t cur = clk.horizon.load(std::memory_order_relaxed);
             const bool demanded = clk.demand.load(std::memory_order_seq_cst) != 0;
-            if (hns > cur && lift_covers) {
+            if (hns > cur && pure_null) {
                 ++stat.suppressed;
             } else if (hns > cur) {
-                if (demanded || executed > 0 || sent_any ||
-                    hns - cur >= edges_[e].grain_ns) {
-                    clk.horizon.store(hns, std::memory_order_seq_cst);
-                    published_any = true;
-                    if (demanded) {
-                        clk.demand.store(0, std::memory_order_seq_cst);
-                        mark_dirty(edges_[e].dst);
-                    }
-                } else {
-                    ++stat.suppressed;
+                clk.horizon.store(hns, std::memory_order_seq_cst);
+                published_any = true;
+                if (demanded) {
+                    clk.demand.store(0, std::memory_order_seq_cst);
+                    mark_dirty(edges_[e].dst);
                 }
             } else if (demanded) {
                 // The pull cannot be honoured right now; leave the flag set
@@ -703,10 +674,7 @@ void ShardedSimulation::channel_lane(std::size_t lane, std::size_t nlanes,
                 }
             }
         }
-        if (published_any) {
-            publications_.fetch_add(1, std::memory_order_relaxed);
-            if (executed == 0 && !sent_any) ++stat.nulls;
-        }
+        if (published_any) publications_.fetch_add(1, std::memory_order_relaxed);
         // Record what this domain is fence-blocked on (max = nothing), so a
         // fence raise wakes it without a broadcast. A racing raise that
         // misses this store is healed by the quiescence scan.
@@ -854,15 +822,14 @@ void ShardedSimulation::drive_channel(Mode mode, SimTime deadline) {
 
     if (nlanes <= 1) {
         // Deterministic inline path: one lane, calling thread, fixed pass
-        // order -- the window, null, suppression, and demand counters are
-        // all reproducible here (the CI gates rely on it).
+        // order -- the window, suppression, demand and wakeup counters are
+        // all reproducible here (the CI gates and liveness tests rely on it).
         channel_lane(0, 1, mode, deadline);
     } else {
         std::vector<std::thread> threads;
         threads.reserve(nlanes);
         for (std::size_t t = 0; t < nlanes; ++t) {
             threads.emplace_back([this, t, nlanes, mode, deadline] {
-                if (options_.pin_lanes) pin_current_thread_to_core(t);
                 channel_lane(t, nlanes, mode, deadline);
             });
         }
@@ -870,7 +837,6 @@ void ShardedSimulation::drive_channel(Mode mode, SimTime deadline) {
     }
     for (const auto& stat : lane_stats_) {
         rounds_ += stat.windows;
-        null_messages_ += stat.nulls;
         suppressed_publications_ += stat.suppressed;
         demand_requests_ += stat.demands;
         wakeups_ += stat.wakeups;

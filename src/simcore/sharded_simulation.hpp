@@ -27,17 +27,20 @@
 //    lookaheads make the horizon fixpoint climb around any channel cycle,
 //    the classic deadlock-freedom argument. Horizons are monotone atomics
 //    published per directed channel (release) and read into EIT without any
-//    lock (acquire). Horizon publications that carry no payload are the null
+//    lock (acquire). Horizon advances that carry no payload are the null
 //    messages. Cross-domain messages travel in per-(src, dst, window) batches
 //    through bounded SPSC mailbox rings, one per directed channel (the
 //    producer is the lane owning src, the consumer the lane owning dst —
 //    both fixed for the run); lanes track a per-domain dirty set and
-//    spin-then-park on a per-lane Eventcount; horizon advances smaller than a
-//    per-channel grain (Options::horizon_grain × lookahead) are withheld
-//    unless a batch rode along or the downstream *demanded* the update — an
-//    EIT-blocked domain pokes exactly its laggard upstream instead of all
-//    upstreams broadcasting continuously. The sync mutex survives only on
-//    the quiescence slow path (every lane idle).
+//    spin-then-park on a per-lane Eventcount. One publication rule governs
+//    the horizons: an advance is published when the pass that produced it
+//    executed events or flushed a batch, and withheld when it is a pure null
+//    (nothing executed, nothing sent). The incremental climb those nulls
+//    would have made is computed in one shot instead, by the horizon lift
+//    the last idle lane runs at quiescence. An EIT-blocked domain *demands*
+//    an update from exactly its laggard upstream instead of all upstreams
+//    broadcasting continuously. The sync mutex survives only on the
+//    quiescence slow path (every lane idle).
 //
 // ## Determinism argument
 //
@@ -131,30 +134,19 @@ public:
         /// oracle; results are identical under both. Defaults from
         /// TEDGE_SYNC ("barrier"/"channel"), else kChannel.
         SyncMode sync = default_sync();
-        /// Null-message suppression grain of the lock-free channel
-        /// coordinator, as a fraction of each directed channel's lookahead:
-        /// a horizon advance smaller than grain × L(src, dst) is withheld
-        /// unless the publishing pass executed events, flushed a batch, or
-        /// the downstream demanded it. 0 publishes every advance (the PR-8
-        /// behaviour). Changes scheduling pressure only — results are
-        /// byte-identical at any grain. Defaults from TEDGE_GRAIN (a
-        /// non-negative double), else 0.25.
-        double horizon_grain = default_grain();
-        /// Pin lane threads to cores (lane i -> core i mod hardware size)
-        /// via pthread_setaffinity_np; cores < lanes degrades to sharing
-        /// cores, unsupported platforms to a no-op. Defaults from
-        /// TEDGE_PIN=1. Only affects wall-clock speed, never results.
-        bool pin_lanes = default_pin();
     };
 
     /// Process-wide default sync mode from TEDGE_SYNC: "barrier" or
     /// "channel"; unset or empty means kChannel. Any other value throws
     /// std::invalid_argument.
     [[nodiscard]] static SyncMode default_sync();
-    /// Process-wide default lane pinning: off unless TEDGE_PIN=1.
-    [[nodiscard]] static bool default_pin();
-    /// Process-wide default suppression grain: TEDGE_GRAIN, else 0.25.
-    [[nodiscard]] static double default_grain();
+    /// Retired: the horizon grain is no longer a setting (one publication
+    /// rule, DESIGN §8.7). The constant survives only because the perfbench
+    /// manifest prints it.
+    [[nodiscard]] static constexpr double default_grain() { return 0.25; }
+    /// Retired: lanes are never pinned to cores. The constant survives only
+    /// because the perfbench manifest prints it.
+    [[nodiscard]] static constexpr bool default_pin() { return false; }
 
     ShardedSimulation();
     explicit ShardedSimulation(Options options);
@@ -223,14 +215,13 @@ public:
     /// Cross-domain messages inserted into destination queues so far.
     [[nodiscard]] std::uint64_t messages_delivered() const;
 
-    /// Pure null messages so far: horizon publications that advanced a
-    /// channel clock without carrying any message batch or executed event
-    /// (channel mode only; barrier mode has none). Deterministic with a
-    /// single worker — the liveness tests bound it.
-    [[nodiscard]] std::uint64_t null_messages() const { return null_messages_; }
+    /// Retired: always 0. A pure null advance is never published (the
+    /// horizon lift covers it), so no publication is a null message. Kept
+    /// because the perfbench report names it.
+    [[nodiscard]] std::uint64_t null_messages() const { return 0; }
 
-    /// Horizon advances withheld by the suppression grain so far (channel
-    /// mode only). Deterministic with a single worker.
+    /// Pure null horizon advances withheld so far (channel mode only).
+    /// Deterministic with a single worker.
     [[nodiscard]] std::uint64_t suppressed_publications() const {
         return suppressed_publications_;
     }
@@ -254,8 +245,7 @@ public:
         std::uint64_t parks = 0;       ///< gate waits that hit the condvar slow path
         std::uint64_t parked_ns = 0;   ///< wall-clock spent parked on the condvar
         std::uint64_t wakeups = 0;     ///< returns from the lane gate
-        std::uint64_t nulls = 0;       ///< pure null publications by this lane
-        std::uint64_t suppressed = 0;  ///< advances withheld by the grain
+        std::uint64_t suppressed = 0;  ///< pure null advances withheld
         std::uint64_t demands = 0;     ///< demand pulls issued by this lane
     };
     [[nodiscard]] const std::vector<LaneStat>& lane_stats() const {
@@ -339,7 +329,6 @@ private:
         DomainId src = 0;
         DomainId dst = 0;
         SimTime lookahead = SimTime::zero();
-        std::int64_t grain_ns = 0;  ///< horizon_grain × lookahead, in ns
     };
     struct alignas(64) ChannelClock {
         std::atomic<std::int64_t> horizon{0};  ///< published ns, monotone
@@ -364,7 +353,6 @@ private:
     bool plane_built_ = false;
 
     std::uint64_t rounds_ = 0;
-    std::uint64_t null_messages_ = 0;
     std::uint64_t suppressed_publications_ = 0;
     std::uint64_t demand_requests_ = 0;
     std::uint64_t wakeups_ = 0;

@@ -25,7 +25,7 @@ void TimerWheel::stage(int level, std::size_t idx) {
     ready_head_ = 0;
     if (ready_.size() == 1) {
         // The common steady-state shape -- one timer per instant -- needs no
-        // min scan, no re-filing, and no sort.
+        // min scan and no re-filing.
         cur_ = ready_.front().at;
         return;
     }
@@ -52,8 +52,8 @@ void TimerWheel::stage(int level, std::size_t idx) {
         // A level-0 bucket holds exactly one timestamp.
         cur_ = ready_.front().at;
     }
-    std::sort(ready_.begin(), ready_.end(),
-              [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
+    // No sort: a bucket's same-instant entries are already seq-ascending
+    // (header, "Determinism"), and the compaction above keeps their order.
 }
 
 } // namespace tedge::sim

@@ -22,12 +22,20 @@
 //
 // Determinism. Draining buckets in bulk must not disturb the kernel's
 // (timestamp, insertion-seq) order. When the earliest bucket is staged, the
-// entries at its minimum timestamp are sorted by seq into `ready_`; the rest
-// re-file strictly below their old level (bucket-mates share all bits at and
-// above the old level's field with the new cur_), so each entry cascades at
-// most kLevels times over its lifetime -- amortized O(1). A push at exactly
-// cur_ appends to `ready_` directly: its seq is globally maximal, so the
-// sorted order is preserved without re-sorting.
+// entries at its minimum timestamp move into `ready_` in bucket order; the
+// rest re-file strictly below their old level (bucket-mates share all bits
+// at and above the old level's field with the new cur_), so each entry
+// cascades at most kLevels times over its lifetime -- amortized O(1).
+// Bucket order needs no sort because of one invariant: *same-instant entries
+// in a bucket are seq-ascending*. All live entries for an instant T sit in
+// one place, the bucket that T and cur_ select (or `ready_` once cur_ == T),
+// because staging re-files every bucket-mate against the new cur_. They
+// reach a lower bucket only together, re-filed in their old bucket's order,
+// and every later entry for T arrives by push, whose seq is globally
+// maximal, so it appends behind them (into `ready_` directly when T ==
+// cur_). Purges and the staging compaction drop entries without reordering
+// the rest. tests/timer_wheel_test.cpp drives T through every level, with
+// cancellations, against an ordered-set model.
 //
 // Advancing `cur_` happens only in pop_min(): min_time() computes the next
 // timestamp non-destructively (cached between calls) because callers such as
@@ -130,7 +138,8 @@ private:
     void file(const Entry& e);
     void clear_bucket_bit(int level, std::size_t idx);
     // Advance cur_ to the minimum of bucket (level, idx) and stage that
-    // instant's entries into ready_ (seq-sorted); re-file the rest.
+    // instant's entries into ready_ (in bucket order, which is seq order);
+    // re-file the rest.
     void stage(int level, std::size_t idx);
 
     template <typename Drop>

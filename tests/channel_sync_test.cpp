@@ -1,8 +1,8 @@
 // Differential and liveness tests for the asynchronous channel-clock
 // coordinator: barrier-vs-channel byte identity at several shard/worker
 // combinations, per-directed-channel lookahead contracts, null-message
-// propagation past silent upstream domains, counter determinism on the
-// single-worker path, and the core-pinning option.
+// propagation past silent upstream domains, and counter determinism on the
+// single-worker path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,8 +51,6 @@ struct ScenarioConfig {
     std::size_t shards = 0;
     std::size_t workers = 1;
     bool explicit_channels = false;  ///< asymmetric per-pair lookaheads
-    bool pin_lanes = false;
-    double grain = -1.0;  ///< horizon grain override; negative keeps default
 };
 
 /// Four producer domains stream user events into a sink domain across 5 ms
@@ -61,7 +59,7 @@ struct ScenarioConfig {
 /// RNG-in-control-flow) participates so the digest catches any divergence
 /// between coordinators.
 RunDigest run_scenario(const ScenarioConfig& config,
-                       std::uint64_t* null_messages = nullptr,
+                       std::uint64_t* suppressed = nullptr,
                        std::uint64_t* rounds = nullptr) {
     constexpr std::size_t kProducers = 4;
     constexpr int kEventsPerProducer = 60;
@@ -72,8 +70,6 @@ RunDigest run_scenario(const ScenarioConfig& config,
     options.shards = config.shards;
     options.workers = config.workers;
     options.sync = config.sync;
-    options.pin_lanes = config.pin_lanes;
-    if (config.grain >= 0.0) options.horizon_grain = config.grain;
     ShardedSimulation sharded(options);
 
     std::vector<sim::Domain*> producers;
@@ -171,7 +167,7 @@ RunDigest run_scenario(const ScenarioConfig& config,
         sharded.flush_logs(os);
         digest.logs = os.str();
     }
-    if (null_messages != nullptr) *null_messages = sharded.null_messages();
+    if (suppressed != nullptr) *suppressed = sharded.suppressed_publications();
     if (rounds != nullptr) *rounds = sharded.rounds();
     return digest;
 }
@@ -182,7 +178,10 @@ RunDigest run_scenario(const ScenarioConfig& config,
 // implementation detail. Every observable byte of a run -- event counts,
 // delivered messages, clocks, metrics, trace, logs -- matches the barrier
 // coordinator at every shard and worker combination, with implicit-mesh and
-// explicit asymmetric channel graphs alike.
+// explicit asymmetric channel graphs alike. Withholding pure-null horizon
+// advances and lifting horizons at quiescence decide only when a lane
+// publishes; the explicit graph, where withheld advances and demand pulls
+// matter most, is where that would show.
 TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
     for (const bool explicit_channels : {false, true}) {
         ScenarioConfig base_config;
@@ -220,50 +219,7 @@ TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
     }
 }
 
-// The horizon grain is purely a scheduling-pressure knob: it decides when
-// a lane bothers publishing a payload-free horizon advance, never which
-// events execute or in what order. Any grain -- the classic incremental
-// climb at 0, the default L/4, or a full lookahead -- yields the identical
-// digest, at every shard/worker combination.
-TEST(ChannelSyncDifferentialTest, GrainSweepProducesIdenticalRuns) {
-    ScenarioConfig base_config;
-    base_config.sync = SyncMode::kBarrier;
-    base_config.shards = 1;
-    base_config.workers = 1;
-    base_config.explicit_channels = true;
-    const RunDigest base = run_scenario(base_config);
-
-    for (const double grain : {0.0, 0.25, 1.0}) {
-        for (const std::size_t shards : {2u, 8u}) {
-            for (const std::size_t workers : {1u, 4u}) {
-                ScenarioConfig config = base_config;
-                config.sync = SyncMode::kChannel;
-                config.shards = shards;
-                config.workers = workers;
-                config.grain = grain;
-                const std::string label = "grain " + std::to_string(grain) +
-                                          " " + std::to_string(shards) + "x" +
-                                          std::to_string(workers);
-                EXPECT_EQ(run_scenario(config), base) << label;
-            }
-        }
-    }
-}
-
-// Core pinning is purely a wall-clock knob: a pinned multi-worker channel
-// run produces the identical digest (and degrades gracefully when the host
-// has fewer cores than lanes -- this container often has one).
-TEST(ChannelSyncDifferentialTest, PinnedLanesChangeNothingObservable) {
-    ScenarioConfig config;
-    config.sync = SyncMode::kChannel;
-    config.shards = 8;
-    config.workers = 4;
-    const RunDigest unpinned = run_scenario(config);
-    config.pin_lanes = true;
-    EXPECT_EQ(run_scenario(config), unpinned);
-}
-
-// Window and null-message counters are deterministic on the single-worker
+// Window and suppression counters are deterministic on the single-worker
 // inline path (the multi-core CI gate relies on this on 1-core hosts).
 TEST(ChannelSyncDifferentialTest, CountersDeterministicWithSingleWorker) {
     ScenarioConfig config;
@@ -271,11 +227,11 @@ TEST(ChannelSyncDifferentialTest, CountersDeterministicWithSingleWorker) {
     config.shards = 8;
     config.workers = 1;
     config.explicit_channels = true;
-    std::uint64_t nulls_a = 0, rounds_a = 0, nulls_b = 0, rounds_b = 0;
-    const RunDigest a = run_scenario(config, &nulls_a, &rounds_a);
-    const RunDigest b = run_scenario(config, &nulls_b, &rounds_b);
+    std::uint64_t suppressed_a = 0, rounds_a = 0, suppressed_b = 0, rounds_b = 0;
+    const RunDigest a = run_scenario(config, &suppressed_a, &rounds_a);
+    const RunDigest b = run_scenario(config, &suppressed_b, &rounds_b);
     EXPECT_EQ(a, b);
-    EXPECT_EQ(nulls_a, nulls_b);
+    EXPECT_EQ(suppressed_a, suppressed_b);
     EXPECT_EQ(rounds_a, rounds_b);
     EXPECT_GT(rounds_a, 0u);
 }
@@ -387,104 +343,68 @@ TEST(ChannelLookaheadTest, PartitionDerivesDirectedChannels) {
 
 // ------------------------------------------------------------- liveness
 
-// The classic conservative-sync liveness scenario: a receiver gated by a
-// completely silent upstream channel. Null messages (horizon publications
-// with no payload) must carry the receiver past the silence -- and their
-// count must stay bounded, not proportional to simulated time over the
-// smallest lookahead.
-TEST(NullMessageLivenessTest, SilentUpstreamDoesNotStallReceiver) {
+/// Deterministic single-worker counters of one silent-upstream run.
+struct LivenessCounters {
+    int received = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t suppressed = 0;
+    std::uint64_t demands = 0;
+    std::uint64_t wakeups = 0;
+
+    bool operator==(const LivenessCounters&) const = default;
+};
+
+/// A talker streams kMessages messages to a receiver whose other in-channel
+/// comes from a completely silent domain over a far tighter lookahead, so
+/// the receiver's safe bound is dominated by silence.
+LivenessCounters run_silent_upstream(int messages) {
     ShardedSimulation::Options options;
     options.sync = SyncMode::kChannel;
     options.shards = 0;   // one lane per domain
     options.workers = 1;  // deterministic inline coordinator
-    // Pin the grain (rather than inheriting TEDGE_GRAIN) so the lift-vs-
-    // climb contract below holds under any environment the suite runs in.
-    options.horizon_grain = 0.25;
     ShardedSimulation sharded(options);
     auto& talker = sharded.add_domain("talker");
     auto& silent = sharded.add_domain("silent");
     auto& receiver = sharded.add_domain("receiver");
-
-    // Asymmetric lookaheads: the silent domain's channel is far tighter than
-    // the talker's, so the receiver's safe bound is dominated by silence.
     sharded.set_channel(talker.id(), receiver.id(), sim::milliseconds(20));
     sharded.set_channel(silent.id(), receiver.id(), sim::milliseconds(1));
     sharded.set_channel(receiver.id(), talker.id(), sim::milliseconds(20));
     sharded.set_channel(receiver.id(), silent.id(), sim::milliseconds(1));
 
-    int received = 0;
-    constexpr int kMessages = 50;
-    std::function<void()> tick;
+    LivenessCounters counters;
     int sent = 0;
+    std::function<void()> tick;
     tick = [&] {
-        talker.post(receiver.id(),
-                    talker.sim().now() + sim::milliseconds(20),
-                    [&received] { ++received; });
-        if (++sent < kMessages) talker.sim().schedule(sim::milliseconds(10), tick);
+        talker.post(receiver.id(), talker.sim().now() + sim::milliseconds(20),
+                    [&counters] { ++counters.received; });
+        if (++sent < messages) talker.sim().schedule(sim::milliseconds(10), tick);
     };
     talker.sim().schedule(SimTime::zero(), tick);
-
     sharded.run();
+    counters.rounds = sharded.rounds();
+    counters.suppressed = sharded.suppressed_publications();
+    counters.demands = sharded.demand_requests();
+    counters.wakeups = sharded.lane_wakeups();
+    return counters;
+}
 
-    EXPECT_EQ(received, kMessages);
-    // At the default grain the quiescence-time horizon lift replaces the
-    // incremental climb past silence, so the null count stays far below the
-    // textbook virtual-time-over-lookahead cost -- typically zero.
-    EXPECT_LT(sharded.null_messages(), 5000u);
-
-    // Grain 0 restores the classic incremental climb: null messages step the
-    // silent cycle one lookahead at a time, so the count is positive but
-    // still bounded by virtual time over the cycle lookahead (hundreds
-    // here), never unbounded or per-event.
-    ShardedSimulation::Options classic_options = options;
-    classic_options.horizon_grain = 0.0;
-    ShardedSimulation classic(classic_options);
-    auto& tc = classic.add_domain("talker");
-    auto& sc = classic.add_domain("silent");
-    auto& rc = classic.add_domain("receiver");
-    classic.set_channel(tc.id(), rc.id(), sim::milliseconds(20));
-    classic.set_channel(sc.id(), rc.id(), sim::milliseconds(1));
-    classic.set_channel(rc.id(), tc.id(), sim::milliseconds(20));
-    classic.set_channel(rc.id(), sc.id(), sim::milliseconds(1));
-    int received_classic = 0;
-    std::function<void()> tick_classic;
-    int sent_classic = 0;
-    tick_classic = [&] {
-        tc.post(rc.id(), tc.sim().now() + sim::milliseconds(20),
-                [&received_classic] { ++received_classic; });
-        if (++sent_classic < kMessages) {
-            tc.sim().schedule(sim::milliseconds(10), tick_classic);
-        }
-    };
-    tc.sim().schedule(SimTime::zero(), tick_classic);
-    classic.run();
-    EXPECT_EQ(received_classic, kMessages);
-    EXPECT_GT(classic.null_messages(), 0u);
-    EXPECT_LT(classic.null_messages(), 5000u);
-    EXPECT_GT(classic.null_messages(), sharded.null_messages());
-
-    // And the count is reproducible (single-worker inline coordinator).
-    ShardedSimulation::Options repeat_options = options;
-    ShardedSimulation repeat(repeat_options);
-    auto& t2 = repeat.add_domain("talker");
-    auto& s2 = repeat.add_domain("silent");
-    auto& r2 = repeat.add_domain("receiver");
-    repeat.set_channel(t2.id(), r2.id(), sim::milliseconds(20));
-    repeat.set_channel(s2.id(), r2.id(), sim::milliseconds(1));
-    repeat.set_channel(r2.id(), t2.id(), sim::milliseconds(20));
-    repeat.set_channel(r2.id(), s2.id(), sim::milliseconds(1));
-    int received2 = 0;
-    std::function<void()> tick2;
-    int sent2 = 0;
-    tick2 = [&] {
-        t2.post(r2.id(), t2.sim().now() + sim::milliseconds(20),
-                [&received2] { ++received2; });
-        if (++sent2 < kMessages) t2.sim().schedule(sim::milliseconds(10), tick2);
-    };
-    t2.sim().schedule(SimTime::zero(), tick2);
-    repeat.run();
-    EXPECT_EQ(received2, kMessages);
-    EXPECT_EQ(repeat.null_messages(), sharded.null_messages());
+// The classic conservative-sync liveness scenario: a receiver gated by a
+// completely silent upstream channel. The receiver must get past the
+// silence, and the synchronization work must stay bounded by the traffic,
+// not grow with simulated time over the smallest lookahead.
+TEST(NullMessageLivenessTest, SilentUpstreamDoesNotStallReceiver) {
+    constexpr int kMessages = 50;
+    const LivenessCounters run = run_silent_upstream(kMessages);
+    EXPECT_EQ(run.received, kMessages);
+    // Pure-null advances are withheld, not published one lookahead at a
+    // time; the quiescence-time horizon lift jumps the silent cycle instead.
+    EXPECT_GT(run.suppressed, 0u);
+    // Suppression beats the incremental climb. Publishing every null step
+    // (the climb) makes the blocked receiver re-demand its laggard at each
+    // step: 488 demand pulls on this scenario, against 141 with the lift.
+    EXPECT_LE(run.demands, 4u * kMessages);
+    // And the counters are reproducible (single-worker inline coordinator).
+    EXPECT_EQ(run_silent_upstream(kMessages), run);
 }
 
 // run_until must also clear silent-channel gating: every clock reaches the

@@ -64,6 +64,9 @@ public:
     }
     void cancel(std::size_t index) { handles_[index].cancel(); }
     [[nodiscard]] bool empty() const { return queue_.empty(); }
+    [[nodiscard]] std::uint64_t refiled() const {
+        return queue_.wheel_cascade_stats().refiled;
+    }
     [[nodiscard]] std::int64_t next_time() const { return queue_.next_time().ns(); }
     PopRecord pop() {
         auto [at, cb] = queue_.pop();
@@ -177,6 +180,78 @@ TEST(TimerWheelDifferential, SimulationReferenceScheduleMatches) {
     };
     EXPECT_EQ(order, expected);
     EXPECT_EQ(executed, expected.size());
+}
+
+constexpr std::int64_t kSameInstant = (std::int64_t{1} << 36) - 2;
+
+/// Push one instant T from a reference instant that walks up to it one wheel
+/// level at a time, so T's entries are filed at every level from 5 down to
+/// 0 and re-filed together on each step; cancellations hit entries filed at
+/// different levels, and a final push at T lands while T's group drains.
+/// Returns the pop sequence.
+template <typename Queue>
+std::vector<PopRecord> run_same_instant_cascade(Queue& queue) {
+    // Bits 1..35 set: for k >= 1, T - 2^k differs from T in bit k alone,
+    // which is on wheel level k / 6, so each step below moves T down exactly
+    // one level. T + 1 differs from T only in bit 0, so it shares T's bucket
+    // on every level above 0.
+    constexpr std::int64_t kT = kSameInstant;
+    std::vector<PopRecord> popped;
+    int next_id = 0;
+    std::size_t pushed = 0;
+    const auto push = [&](std::int64_t at) {
+        queue.push(at, next_id, next_id % 3 == 0);
+        ++next_id;
+        ++pushed;
+    };
+
+    push(kT);
+    push(kT);
+    push(kT + 1);  // a bucket-mate at a different instant
+    queue.cancel(1);
+    int step = 0;
+    for (const int bit : {33, 27, 21, 15, 9, 3, 0}) {
+        // Advance the reference instant to T - 2^bit: the only entry below
+        // it is the filler, so one pop lands exactly there and stages (and
+        // from bit 27 on, cascades) the bucket T shares with it.
+        push(kT - (std::int64_t{1} << bit));
+        popped.push_back(queue.pop());
+        push(kT);
+        push(kT);
+        push(kT + 1);
+        if (step++ % 2 == 0) queue.cancel(pushed - 2);  // the second T entry
+    }
+    bool pushed_while_draining = false;
+    while (!queue.empty()) {
+        popped.push_back(queue.pop());
+        if (!pushed_while_draining && std::get<0>(popped.back()) == kT) {
+            push(kT);  // same instant as the group now draining
+            pushed_while_draining = true;
+        }
+    }
+    return popped;
+}
+
+// Same-instant entries filed at different wheel levels must still pop in
+// push order. Staging keeps each bucket's order and never sorts, which is
+// sound because a bucket's same-instant entries are already seq-ascending:
+// this drives exactly the shapes that could break that (cascades of mixed
+// old and new entries, cancellations, pushes into the draining group).
+TEST(TimerWheelDifferential, SameInstantEntriesFromEveryLevelPopInPushOrder) {
+    ReferenceQueue reference_queue;
+    KernelQueue kernel_queue;
+    const auto reference = run_same_instant_cascade(reference_queue);
+    const auto kernel = run_same_instant_cascade(kernel_queue);
+    EXPECT_EQ(kernel, reference);
+    // 2 + 7 * 2 + 1 pushes at T, 5 of them cancelled: 12 pops at T.
+    EXPECT_EQ(std::count_if(kernel.begin(), kernel.end(),
+                            [](const PopRecord& r) {
+                                return std::get<0>(r) == kSameInstant;
+                            }),
+              12);
+    // T's bucket cascaded on each step from level 5 down to level 0, at
+    // least three live entries each time.
+    EXPECT_GE(kernel_queue.refiled(), 5u * 3u);
 }
 
 // --------------------------------------------------------- wheel specifics
