@@ -50,7 +50,6 @@ void emit_fig09_trace() {
     bench::DeploymentExperimentOptions options; // fig-9 defaults
     options.tracer = &tracer;
     options.metrics = &metrics;
-    options.shards = bench::shards_from_env();
     const auto result = bench::run_deployment_experiment(options);
     std::cout << "\ntraced run: " << result.first_request_ms.count()
               << " cold + " << result.warm_request_ms.count()

@@ -80,7 +80,6 @@ void emit_fig12_trace() {
     options.seed = 70;
     options.tracer = &tracer;
     options.metrics = &metrics;
-    options.shards = bench::shards_from_env();
     const auto result = bench::run_deployment_experiment(options);
     std::cout << "\ntraced run: " << result.first_request_ms.count()
               << " cold + " << result.warm_request_ms.count()

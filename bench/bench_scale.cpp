@@ -22,8 +22,7 @@
 // runs the sharded control plane -- N edge domains each owning a FlowMemory
 // partition and its own Poisson pump, plus a central controller domain
 // receiving periodic digests over the conservative lookahead link -- under
-// ShardedSimulation. JSON points carry a "shards" field; baselines written
-// before the field existed parse as shards=1.
+// ShardedSimulation. JSON points carry a "shards" field.
 //
 // The sweep has a fidelity dimension (--fidelity, default "both"): exact
 // rows drive every flow through the per-packet path as before; hybrid rows
@@ -36,22 +35,15 @@
 // the hybrid/exact ratio is the control-plane speedup. When both fidelities
 // sweep the 1M x 8 wheel point, the run fails unless hybrid is >= 10x exact.
 //
-// The sharded rows have a sync dimension (--sync, default "channel"): the
-// coordinator that drives the domains -- the lock-free channel plane or the
-// global-barrier reference oracle (DESIGN §8). Points
-// record the mode as "sync_mode" plus the per-run lane accounting -- total
-// lane busy/blocked wall time and the lock-free plane's
-// wakeup/park/suppression/demand counters -- so the shard-scaling
-// table can attribute (lack of) speedup to synchronization stalls vs lock
-// contention. Baselines written before the sync dimension existed were all
-// measured on the barrier design and parse as sync_mode=barrier; serial rows
-// carry the same label so they keep gating across the change.
+// The sharded rows run the channel coordinator (DESIGN §8.7). Points record
+// the per-run lane accounting -- total lane busy/blocked wall time and the
+// lock-free plane's wakeup/park/suppression/demand counters -- so the
+// shard-scaling table can attribute (lack of) speedup to synchronization
+// stalls vs lock contention.
 //
 // Flags: --quick (skip the 1M row: CI),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
-//        --sync channel|barrier|both (coordinator for sharded rows;
-//        default channel; both = barrier + channel),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -66,6 +58,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -141,7 +134,11 @@ std::optional<R> run_forked(const std::function<R()>& fn) {
     int fds[2];
     if (pipe(fds) != 0) return std::nullopt;
     const pid_t pid = fork();
-    if (pid < 0) return std::nullopt;
+    if (pid < 0) {
+        close(fds[0]);
+        close(fds[1]);
+        return std::nullopt;
+    }
     if (pid == 0) {
         close(fds[0]);
         try {
@@ -171,17 +168,7 @@ struct SweepPoint {
     std::uint32_t services = 0;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
-    sim::SyncMode sync = sim::SyncMode::kChannel;  ///< sharded points only
 };
-
-/// Label recorded in JSON and used as the baseline key. Serial points carry
-/// "barrier": they never run a coordinator, and baselines written before the
-/// sync dimension existed (all of them measured on the barrier design) parse
-/// with the same default, so the serial rows keep gating across the change.
-const char* sync_str(const SweepPoint& point) {
-    return point.shards > 1 && point.sync == sim::SyncMode::kChannel ? "channel"
-                                                                      : "barrier";
-}
 
 /// POD result shipped from the forked child back over the pipe.
 struct PointResult {
@@ -523,7 +510,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     sim::ShardedSimulation::Options kernel;
     kernel.seed = 42;
     kernel.lookahead = kAccessLatency;
-    kernel.sync = point.sync;
     sim::ShardedSimulation sharded(kernel);
 
     std::vector<sim::Domain*> edges;
@@ -727,7 +713,6 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << ", \"services\": " << point.services
         << ", \"shards\": " << point.shards
         << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
-        << "\", \"sync_mode\": \"" << sync_str(point)
         << "\", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
         << ", \"kernel_events\": " << result.kernel_events
@@ -785,36 +770,34 @@ std::optional<std::string> extract_string(const std::string& line,
     return line.substr(start, end - start);
 }
 
-using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::size_t,
-                               std::string, std::string>;
+using BaselineKey =
+    std::tuple<std::size_t, std::uint32_t, std::size_t, std::string>;
 
-/// events/s per (flows, services, shards, fidelity, sync) point parsed from a
-/// BENCH_scale.json. Older baselines tag each point with the event queue it
-/// ran on; points measured on the retired heap queue are skipped. Their
-/// "grain" field is ignored: every channel row in them ran at 0.25, the one
-/// publication rule the coordinator now has. Points written before the
-/// shard / fidelity dimensions existed parse as shards=1 / exact, and points
-/// written before the sync dimension existed were all measured on the
-/// barrier coordinator, so they parse as sync_mode=barrier.
+/// events/s per (flows, services, shards, fidelity) point parsed from a
+/// BENCH_scale.json; a point row is any line carrying "flows". Fields outside
+/// the key and events_per_s are ignored. A point row missing one of those
+/// five fields, or repeating a key, throws std::runtime_error naming the line.
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
     std::string line;
-    while (std::getline(in, line)) {
+    for (std::size_t number = 1; std::getline(in, line); ++number) {
         const auto flows = extract_number(line, "flows");
+        if (!flows) continue;
         const auto services = extract_number(line, "services");
-        const auto events = extract_number(line, "events_per_s");
-        const auto backend = extract_string(line, "backend");
         const auto shards = extract_number(line, "shards");
         const auto fidelity = extract_string(line, "fidelity");
-        const auto sync = extract_string(line, "sync_mode");
-        if (backend && *backend != "wheel") continue;
-        if (flows && services && events) {
-            baseline[{static_cast<std::size_t>(*flows),
-                      static_cast<std::uint32_t>(*services),
-                      static_cast<std::size_t>(shards.value_or(1)),
-                      fidelity.value_or("exact"),
-                      sync.value_or("barrier")}] = *events;
+        const auto events = extract_number(line, "events_per_s");
+        const std::string where = path + ":" + std::to_string(number);
+        if (!services || !shards || !fidelity || !events) {
+            throw std::runtime_error(where + ": point lacks services, shards, "
+                                             "fidelity or events_per_s");
+        }
+        const BaselineKey key{static_cast<std::size_t>(*flows),
+                              static_cast<std::uint32_t>(*services),
+                              static_cast<std::size_t>(*shards), *fidelity};
+        if (!baseline.emplace(key, *events).second) {
+            throw std::runtime_error(where + ": duplicate point");
         }
     }
     return baseline;
@@ -849,7 +832,6 @@ int main(int argc, char** argv) {
     std::string baseline_path;
     std::string shards_arg = "1,2,8";
     std::string fidelity_arg = "both";
-    std::string sync_arg = "channel";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -862,12 +844,9 @@ int main(int argc, char** argv) {
             shards_arg = argv[++i];
         } else if (arg == "--fidelity" && i + 1 < argc) {
             fidelity_arg = argv[++i];
-        } else if (arg == "--sync" && i + 1 < argc) {
-            sync_arg = argv[++i];
         } else {
             std::cerr << "usage: bench_scale [--quick] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
-                         "[--sync channel|barrier|both] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
         }
@@ -890,18 +869,6 @@ int main(int argc, char** argv) {
                   << "' (expected exact, hybrid, or both)\n";
         return 2;
     }
-    std::vector<sim::SyncMode> syncs;
-    if (sync_arg == "channel") {
-        syncs = {sim::SyncMode::kChannel};
-    } else if (sync_arg == "barrier") {
-        syncs = {sim::SyncMode::kBarrier};
-    } else if (sync_arg == "both") {
-        syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannel};
-    } else {
-        std::cerr << "unknown --sync '" << sync_arg
-                  << "' (expected channel, barrier, or both)\n";
-        return 2;
-    }
 
     print_header("scale",
                  "control-plane scale sweep: concurrent flows x services -> "
@@ -913,7 +880,7 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "shards", "sync", "flows",
+    workload::TextTable table({"fidelity", "shards", "flows",
                                "services", "events/s", "install p50",
                                "install p99", "lookup ns", "idle ns",
                                "peak RSS MB"});
@@ -927,52 +894,45 @@ int main(int argc, char** argv) {
                 flow_counts.push_back(10'000'000);
                 flow_counts.push_back(100'000'000);
             }
-            for (const auto sync : syncs) {
-                // The sync dimension only exists for sharded points; a
-                // serial point runs once no matter how many modes sweep.
-                if (shards == 1 && sync != syncs.front()) continue;
-                for (const auto flows : flow_counts) {
-                    for (const auto services : service_counts) {
-                        const SweepPoint point{flows, services, shards,
-                                               fidelity, sync};
-                        const auto result = run_forked<PointResult>(
-                            [point] { return run_point(point); });
-                        if (!result) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") failed (child died)\n";
-                            return 1;
-                        }
-                        if (result->peak_live_flows != flows ||
-                            result->idle_notifications == 0) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") invalid: live="
-                                      << result->peak_live_flows
-                                      << " idle_notifications="
-                                      << result->idle_notifications << "\n";
-                            return 1;
-                        }
-                        results.emplace_back(point, *result);
-                        table.add_row(
-                            {sdn::to_string(fidelity), std::to_string(shards),
-                             shards > 1 ? sync_str(point) : "-",
-                             std::to_string(flows), std::to_string(services),
-                             workload::TextTable::num(result->events_per_s, 0),
-                             workload::TextTable::num(result->install_p50_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->install_p99_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->lookup_ns, 0),
-                             workload::TextTable::num(result->idle_check_ns, 0),
-                             workload::TextTable::num(
-                                 static_cast<double>(result->rss_kb) / 1024.0,
-                                 1)});
+            for (const auto flows : flow_counts) {
+                for (const auto services : service_counts) {
+                    const SweepPoint point{flows, services, shards, fidelity};
+                    const auto result = run_forked<PointResult>(
+                        [point] { return run_point(point); });
+                    if (!result) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") failed (child died)\n";
+                        return 1;
                     }
+                    if (result->peak_live_flows != flows ||
+                        result->idle_notifications == 0) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") invalid: live="
+                                  << result->peak_live_flows
+                                  << " idle_notifications="
+                                  << result->idle_notifications << "\n";
+                        return 1;
+                    }
+                    results.emplace_back(point, *result);
+                    table.add_row(
+                        {sdn::to_string(fidelity), std::to_string(shards),
+                         std::to_string(flows), std::to_string(services),
+                         workload::TextTable::num(result->events_per_s, 0),
+                         workload::TextTable::num(result->install_p50_ns,
+                                                  0) +
+                             " ns",
+                         workload::TextTable::num(result->install_p99_ns,
+                                                  0) +
+                             " ns",
+                         workload::TextTable::num(result->lookup_ns, 0),
+                         workload::TextTable::num(result->idle_check_ns, 0),
+                         workload::TextTable::num(
+                             static_cast<double>(result->rss_kb) / 1024.0,
+                             1)});
                 }
             }
         }
@@ -1057,7 +1017,7 @@ int main(int argc, char** argv) {
     // Shard-scaling view: events/s vs the serial kernel at the same point
     // (the serial row is the committed baseline).
     if (shard_counts->size() > 1) {
-        workload::TextTable scaling({"flows", "services", "shards", "sync",
+        workload::TextTable scaling({"flows", "services", "shards",
                                      "cores", "events/s", "vs serial",
                                      "per-core eff", "sync rounds",
                                      "wakeups", "parks/lane", "parked ms/lane",
@@ -1093,7 +1053,6 @@ int main(int argc, char** argv) {
                     scaling.add_row(
                         {std::to_string(flows), std::to_string(services),
                          std::to_string(point.shards),
-                         point.shards > 1 ? sync_str(point) : "-",
                          std::to_string(result.cores_used),
                          workload::TextTable::num(result.events_per_s, 0),
                          workload::TextTable::num(speedup, 2) + "x",
@@ -1130,7 +1089,13 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << out_path << "\n";
 
     if (!baseline_path.empty()) {
-        const auto baseline = parse_baseline(baseline_path);
+        std::map<BaselineKey, double> baseline;
+        try {
+            baseline = parse_baseline(baseline_path);
+        } catch (const std::runtime_error& e) {
+            std::cerr << "baseline " << e.what() << "\n";
+            return 1;
+        }
         if (baseline.empty()) {
             std::cerr << "baseline " << baseline_path
                       << " missing or unparseable\n";
@@ -1144,8 +1109,7 @@ int main(int argc, char** argv) {
         for (const auto& [point, result] : results) {
             const auto it = baseline.find({point.flows, point.services,
                                            point.shards,
-                                           sdn::to_string(point.fidelity),
-                                           sync_str(point)});
+                                           sdn::to_string(point.fidelity)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.events_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services

@@ -1,17 +1,13 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <system_error>
 
 #include "simcore/thread_pool.hpp"
 #include "workload/runner.hpp"
@@ -31,7 +27,6 @@ testbed::C3Options base_options(const DeploymentExperimentOptions& options) {
     c3.controller.flow_memory.scan_period = sim::seconds(60);
     c3.controller.scale_down_idle = false;
     c3.controller.dispatcher.switch_idle_timeout = sim::seconds(900);
-    c3.controller.fidelity = fidelity_from_env();
     return c3;
 }
 
@@ -48,48 +43,11 @@ void drain_phase(sim::Simulation& sim, const std::function<bool()>& done,
     sim.run_until(start + sim::nanoseconds(slices * slice_ns));
 }
 
-std::size_t shards_from_env() {
-    const char* v = std::getenv("TEDGE_SHARDS");
-    if (v == nullptr || *v == '\0') return 0;
-    const std::string_view text(v);
-    std::size_t shards = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), shards);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-        throw std::invalid_argument("TEDGE_SHARDS: '" + std::string(text) +
-                                    "' is not a shard count (expected a "
-                                    "non-negative integer)");
-    }
-    return shards;
-}
-
-sdn::Fidelity fidelity_from_env() {
-    const char* v = std::getenv("TEDGE_FIDELITY");
-    if (v == nullptr || *v == '\0') return sdn::Fidelity::kExact;
-    return sdn::fidelity_from_string(v); // throws on an unknown value
-}
-
 DeploymentExperimentResult
 run_deployment_experiment(const DeploymentExperimentOptions& options) {
     DeploymentExperimentResult result;
 
-    // Hosted mode: the testbed's kernel is domain 0 of a ShardedSimulation.
-    // One site -> one domain (the partitioning rule keeps strongly-coupled
-    // nodes together), and a single-domain coordinator grants that domain an
-    // unbounded conservative window -- its execution is the serial kernel's,
-    // so phase drains may drive the domain kernel directly and stay
-    // bit-identical with the self-hosted path.
-    std::unique_ptr<sim::ShardedSimulation> coordinator;
-    testbed::C3Options c3 = base_options(options);
-    if (options.shards >= 1) {
-        sim::ShardedSimulation::Options host;
-        host.seed = options.seed;
-        host.shards = options.shards;
-        coordinator = std::make_unique<sim::ShardedSimulation>(host);
-        c3.host_sim = &coordinator->add_domain("c3-site").sim();
-    }
-
-    auto testbed = build_c3(c3);
+    auto testbed = build_c3(base_options(options));
     auto& platform = testbed->platform;
     auto* cluster = platform.clusters().front();
 
@@ -180,11 +138,6 @@ run_deployment_experiment(const DeploymentExperimentOptions& options) {
         result.deploy_total_ms.add_time(record.total());
         result.deployment_start_times.push_back(record.started);
     }
-
-    // Hosted mode: hand the (drained) run back to the coordinator once --
-    // run() observes no remaining user events across domains and returns,
-    // confirming the window bookkeeping agrees with the serial drain.
-    if (coordinator) coordinator->run();
 
     // Detach before the testbed (and its Simulation) is destroyed; the
     // tracer keeps its recorded spans for the caller to export.

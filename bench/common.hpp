@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "simcore/metrics_registry.hpp"
-#include "simcore/sharded_simulation.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/stats.hpp"
 #include "simcore/tracer.hpp"
@@ -36,26 +35,7 @@ struct DeploymentExperimentOptions {
     /// single-threaded runs -- never with run_deployment_replications.
     sim::Tracer* tracer = nullptr;
     sim::MetricsRegistry* metrics = nullptr;
-    /// 0: the platform owns a plain serial kernel (legacy path). >= 1: host
-    /// the testbed in domain 0 of a ShardedSimulation. The C3 testbed is one
-    /// strongly-coupled site -- its intra-EGS links are near-zero latency --
-    /// so the partitioning rule maps the whole testbed to a single domain
-    /// whatever the shard count; requesting more shards than domains just
-    /// leaves lanes idle. Results are bit-identical to the serial path by
-    /// the coordinator's single-domain equivalence. Set from TEDGE_SHARDS in
-    /// the figure benches.
-    std::size_t shards = 0;
 };
-
-/// TEDGE_SHARDS parsed as a shard count, or 0 when unset or empty (the
-/// legacy self-hosted kernel). Anything but a plain non-negative integer
-/// throws std::invalid_argument: a typo must not silently run serial.
-[[nodiscard]] std::size_t shards_from_env();
-
-/// TEDGE_FIDELITY parsed as a control-plane fidelity ("exact" / "hybrid"),
-/// or kExact when unset. An unknown value aborts loudly rather than silently
-/// running the wrong mode -- the differential harness depends on it.
-[[nodiscard]] sdn::Fidelity fidelity_from_env();
 
 struct DeploymentExperimentResult {
     sim::SampleSet first_request_ms;  ///< deployment-triggering request totals

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -30,15 +28,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
 }
 
 } // namespace
-
-SyncMode ShardedSimulation::default_sync() {
-    const char* env = std::getenv("TEDGE_SYNC");
-    if (env == nullptr || *env == '\0') return SyncMode::kChannel;
-    if (std::strcmp(env, "barrier") == 0) return SyncMode::kBarrier;
-    if (std::strcmp(env, "channel") == 0) return SyncMode::kChannel;
-    throw std::invalid_argument(std::string("TEDGE_SYNC: unknown coordinator '") +
-                                env + "' (expected barrier|channel)");
-}
 
 ShardedSimulation::ShardedSimulation() : ShardedSimulation(Options{}) {}
 

@@ -99,7 +99,7 @@ namespace tedge::sim {
 class ThreadPool;
 class Eventcount;
 
-/// Coordinator algorithm selector (Options::sync, TEDGE_SYNC).
+/// Coordinator algorithm selector (Options::sync).
 enum class SyncMode : std::uint8_t {
     kBarrier,  ///< global barrier rounds: the reference oracle
     /// Retired (the former mutex channel plane). Rejected by the
@@ -130,16 +130,17 @@ public:
         /// Worker threads (0 = one per lane, capped by the hardware). Only
         /// affects wall-clock speed, never results.
         std::size_t workers = 0;
-        /// Coordinator algorithm: kChannel (default) or the kBarrier
-        /// oracle; results are identical under both. Defaults from
-        /// TEDGE_SYNC ("barrier"/"channel"), else kChannel.
-        SyncMode sync = default_sync();
+        /// Coordinator algorithm: kChannel or the kBarrier oracle; results
+        /// are identical under both.
+        SyncMode sync = SyncMode::kChannel;
     };
 
-    /// Process-wide default sync mode from TEDGE_SYNC: "barrier" or
-    /// "channel"; unset or empty means kChannel. Any other value throws
-    /// std::invalid_argument.
-    [[nodiscard]] static SyncMode default_sync();
+    /// Retired: always kChannel, the Options::sync default; nothing reads
+    /// the environment. The constant survives only because the perfbench
+    /// manifest prints it.
+    [[nodiscard]] static constexpr SyncMode default_sync() {
+        return SyncMode::kChannel;
+    }
     /// Retired: the horizon grain is no longer a setting (one publication
     /// rule, DESIGN §8.7). The constant survives only because the perfbench
     /// manifest prints it.

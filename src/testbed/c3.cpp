@@ -24,9 +24,7 @@ std::unique_ptr<C3Testbed> build_c3(const C3Options& options) {
     platform_config.seed = options.seed;
     platform_config.prober.interval = cal::kProbeInterval;
 
-    auto testbed = options.host_sim != nullptr
-                       ? std::make_unique<C3Testbed>(*options.host_sim, platform_config)
-                       : std::make_unique<C3Testbed>(platform_config);
+    auto testbed = std::make_unique<C3Testbed>(platform_config);
     auto& p = testbed->platform;
 
     // --- hosts -----------------------------------------------------------

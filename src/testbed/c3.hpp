@@ -32,10 +32,6 @@ struct C3Options {
     std::size_t extra_gnbs = 0;
     sim::SimTime gnb_backbone_latency = sim::milliseconds(2);
     sdn::ControllerConfig controller;
-    /// Host the testbed on an external kernel (a sim::Domain's simulation
-    /// inside a ShardedSimulation) instead of letting the platform own one.
-    /// Must outlive the testbed when set.
-    sim::Simulation* host_sim = nullptr;
 };
 
 struct C3Testbed {
@@ -56,8 +52,6 @@ struct C3Testbed {
     std::vector<net::OvsSwitch*> gnbs;
 
     explicit C3Testbed(core::EdgePlatformConfig config) : platform(std::move(config)) {}
-    C3Testbed(sim::Simulation& host_sim, core::EdgePlatformConfig config)
-        : platform(host_sim, std::move(config)) {}
 
     /// Register all Table I services with the platform.
     void register_table1_services();

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -236,24 +235,9 @@ TEST(ChannelSyncDifferentialTest, CountersDeterministicWithSingleWorker) {
     EXPECT_GT(rounds_a, 0u);
 }
 
-// The retired mutex coordinator and misspelled TEDGE_SYNC values are
-// rejected loudly rather than silently falling back to the default.
+// The retired mutex coordinator is rejected loudly rather than silently
+// running another one.
 TEST(ChannelSyncDifferentialTest, RetiredAndUnknownSyncModesAreRejected) {
-    const char* prior = std::getenv("TEDGE_SYNC");
-    const std::optional<std::string> saved =
-        prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
-    for (const char* bad : {"channel-locked", "chanel"}) {
-        ::setenv("TEDGE_SYNC", bad, 1);
-        EXPECT_THROW((void)ShardedSimulation::default_sync(), std::invalid_argument)
-            << bad;
-    }
-    ::setenv("TEDGE_SYNC", "barrier", 1);
-    EXPECT_EQ(ShardedSimulation::default_sync(), SyncMode::kBarrier);
-    if (saved) {
-        ::setenv("TEDGE_SYNC", saved->c_str(), 1);
-    } else {
-        ::unsetenv("TEDGE_SYNC");
-    }
     EXPECT_THROW(ShardedSimulation(ShardedSimulation::Options{
                      .sync = SyncMode::kChannelLocked}),
                  std::invalid_argument);
@@ -262,39 +246,45 @@ TEST(ChannelSyncDifferentialTest, RetiredAndUnknownSyncModesAreRejected) {
 // --------------------------------------------------- per-channel contracts
 
 TEST(ChannelLookaheadTest, PerChannelContractsReplaceTheGlobalMinimum) {
-    ShardedSimulation::Options options;
-    options.shards = 1;
-    options.workers = 1;
-    ShardedSimulation sharded(options);
-    auto& a = sharded.add_domain("a");
-    auto& b = sharded.add_domain("b");
-    sharded.add_domain("c");
-    sharded.set_channel(a.id(), b.id(), sim::milliseconds(5));
-    sharded.set_channel(b.id(), a.id(), sim::milliseconds(50));
+    for (const SyncMode sync : {SyncMode::kBarrier, SyncMode::kChannel}) {
+        SCOPED_TRACE(sync == SyncMode::kBarrier ? "barrier" : "channel");
+        ShardedSimulation::Options options;
+        options.sync = sync;
+        options.shards = 1;
+        options.workers = 1;
+        ShardedSimulation sharded(options);
+        auto& a = sharded.add_domain("a");
+        auto& b = sharded.add_domain("b");
+        sharded.add_domain("c");
+        sharded.set_channel(a.id(), b.id(), sim::milliseconds(5));
+        sharded.set_channel(b.id(), a.id(), sim::milliseconds(50));
 
-    EXPECT_TRUE(sharded.has_explicit_channels());
-    EXPECT_EQ(sharded.lookahead(), sim::milliseconds(5));
-    EXPECT_EQ(a.lookahead_to(b.id()), sim::milliseconds(5));
-    EXPECT_EQ(b.lookahead_to(a.id()), sim::milliseconds(50));
+        EXPECT_TRUE(sharded.has_explicit_channels());
+        EXPECT_EQ(sharded.lookahead(), sim::milliseconds(5));
+        EXPECT_EQ(a.lookahead_to(b.id()), sim::milliseconds(5));
+        EXPECT_EQ(b.lookahead_to(a.id()), sim::milliseconds(50));
 
-    // The tight direction admits a 5 ms timestamp...
-    a.post(b.id(), sim::milliseconds(5), [] {});
-    // ...the slow direction requires its own 50 ms bound, not the global min...
-    EXPECT_THROW(b.post(a.id(), sim::milliseconds(5), [] {}), std::logic_error);
-    b.post(a.id(), sim::milliseconds(50), [] {});
-    // ...and a pair with no declared channel cannot talk at all.
-    EXPECT_THROW(a.post(2, sim::seconds(10), [] {}), std::logic_error);
-    EXPECT_THROW(static_cast<void>(sharded.channel_lookahead(a.id(), 2)),
-                 std::logic_error);
+        // The tight direction admits a 5 ms timestamp...
+        a.post(b.id(), sim::milliseconds(5), [] {});
+        // ...the slow direction requires its own 50 ms bound, not the
+        // global min...
+        EXPECT_THROW(b.post(a.id(), sim::milliseconds(5), [] {}),
+                     std::logic_error);
+        b.post(a.id(), sim::milliseconds(50), [] {});
+        // ...and a pair with no declared channel cannot talk at all.
+        EXPECT_THROW(a.post(2, sim::seconds(10), [] {}), std::logic_error);
+        EXPECT_THROW(static_cast<void>(sharded.channel_lookahead(a.id(), 2)),
+                     std::logic_error);
 
-    sharded.run();
-    EXPECT_EQ(sharded.messages_delivered(), 2u);
+        sharded.run();
+        EXPECT_EQ(sharded.messages_delivered(), 2u);
 
-    // Channel lookaheads must be positive and finite.
-    EXPECT_THROW(sharded.set_channel(0, 1, SimTime::zero()),
-                 std::invalid_argument);
-    EXPECT_THROW(sharded.set_channel(0, 1, SimTime::max()),
-                 std::invalid_argument);
+        // Channel lookaheads must be positive and finite.
+        EXPECT_THROW(sharded.set_channel(0, 1, SimTime::zero()),
+                     std::invalid_argument);
+        EXPECT_THROW(sharded.set_channel(0, 1, SimTime::max()),
+                     std::invalid_argument);
+    }
 }
 
 TEST(ChannelLookaheadTest, PartitionDerivesDirectedChannels) {

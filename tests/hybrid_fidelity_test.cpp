@@ -3,7 +3,7 @@
 // idle-notification parity), the FluidPoissonStream workload, and the
 // end-to-end differential -- a platform run under hybrid fidelity must make
 // the same dispatch decisions, at the same virtual instants, with the same
-// idle scale-downs, as the exact run.
+// idle scale-downs, spans and metrics, as the exact run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,9 @@
 #include "core/edge_platform.hpp"
 #include "sdn/flow_memory.hpp"
 #include "simcore/aggregate_epoch.hpp"
+#include "simcore/metrics_registry.hpp"
 #include "simcore/random.hpp"
+#include "simcore/tracer.hpp"
 #include "workload/stream.hpp"
 
 namespace tedge::sdn {
@@ -379,7 +381,8 @@ TEST(FluidPoissonStreamTest, DeterministicPerSeed) {
 /// Everything observable about a platform run that the hybrid fast path must
 /// reproduce: per-request outcomes with their virtual completion instants,
 /// the dispatcher decision counters, FlowMemory traffic, idle scale-downs,
-/// and the final clock.
+/// the final clock, and the Chrome trace and metrics dump (hybrid must add
+/// no span and no metric).
 struct RunDigest {
     std::vector<std::tuple<bool, std::uint64_t, std::int64_t>> requests;
     std::uint64_t packet_ins = 0;
@@ -389,6 +392,8 @@ struct RunDigest {
     std::uint64_t flow_memory_misses = 0;
     std::uint64_t idle_scale_downs = 0;
     std::int64_t final_now_ns = 0;
+    std::string trace;
+    std::string metrics;
 
     bool operator==(const RunDigest&) const = default;
 };
@@ -396,7 +401,11 @@ struct RunDigest {
 /// The fig. 2 loop in miniature: cold start, switch-entry expiry, memory-hit
 /// re-dispatch (the established path hybrid promotes), then idle scale-down.
 RunDigest run_differential_scenario(Fidelity fidelity) {
+    sim::MetricsRegistry metrics;
     sim::Simulation sim;
+    sim.set_metrics(&metrics);
+    sim::Tracer tracer(sim);
+    tracer.enable();
     core::EdgePlatform platform(sim, {});
     std::vector<net::NodeId> clients;
     for (std::uint32_t i = 1; i <= 3; ++i) {
@@ -469,6 +478,8 @@ spec:
     digest.flow_memory_misses = platform.controller().flow_memory().misses();
     digest.idle_scale_downs = platform.controller().idle_scale_downs();
     digest.final_now_ns = sim.now().ns();
+    digest.trace = tracer.chrome_trace();
+    digest.metrics = metrics.dump();
     return digest;
 }
 
@@ -484,6 +495,8 @@ TEST(HybridDifferentialTest, HybridReproducesExactRun) {
     EXPECT_GT(exact.deployed_waiting, 0u);
     EXPECT_GT(exact.memory_hits, 0u);
     EXPECT_GT(exact.idle_scale_downs, 0u);
+    EXPECT_NE(exact.trace.find("\"packet_in\""), std::string::npos);
+    EXPECT_FALSE(exact.metrics.empty());
 
     const auto hybrid = run_differential_scenario(Fidelity::kHybrid);
     EXPECT_EQ(hybrid, exact) << "hybrid diverged from exact";
